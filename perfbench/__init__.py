@@ -1,0 +1,5 @@
+"""The repository benchmark: Section-7 workloads, end-to-end and per layer.
+
+Run it with ``python3 perfbench/run.py --workload NAME --seed N
+--seconds S --trace 0|1`` from the repository root; see README.md.
+"""
