@@ -10,9 +10,9 @@ allocator rounding slack) or rejects the packet before it can touch
 protocol state.
 
 Content-level verdicts are deliberately not made here: checksum and
-sequence failures stay attributed to the TCP/IP compartment's
-:class:`~repro.iot.netstack.NetStats`, exactly as in the seed stack,
-so telemetry keeps one unambiguous owner per drop cause.
+sequence failures belong to the TCP/IP stage of
+:class:`~repro.iot.sessions.NetPipeline`.  The firewall's own verdicts
+are broken down by cause in :class:`FirewallStats`.
 """
 
 from __future__ import annotations

@@ -1,33 +1,18 @@
-"""The TCP/IP compartment: per-packet heap buffers and framing checks.
+"""The TCP/IP compartment's cost model.
 
 "Every network packet that is sent and received is a separate heap
 allocation, protected by temporal safety" (paper section 7.2.3).  The
-stand-in stack supports both receive disciplines:
+TCP/IP stage itself lives in :class:`repro.iot.sessions.NetPipeline`;
+this module holds the per-packet and per-byte charges it applies in
+its two receive disciplines:
 
-* :meth:`NetworkStack.receive` — the original copying path: the frame
-  body is copied into a freshly ``malloc``'d buffer through its
-  capability (6 cycles/byte, the load+store pair, checksum folded into
-  the copy loop) and the *capability* is handed up to TLS.
-* :meth:`NetworkStack.receive_view` — the zero-copy path: the packet
-  already lives in one driver-edge heap allocation; the stack validates
-  the frame *in place* (2 cycles/byte, load+accumulate only) and hands
-  up a ``csetbounds``-narrowed view of the same buffer covering exactly
-  the body.  No layer after the driver ever copies or allocates.
-
-Drop accounting is disjoint by cause: ``dropped_corrupt`` (framing or
-checksum failures) and ``dropped_out_of_order`` (sequence mismatches)
-never overlap, so fleet telemetry can attribute losses; the historical
-``packets_dropped`` / ``out_of_order`` names survive as derived
-read-only properties.
+* copying — the frame body is copied into a freshly ``malloc``'d
+  buffer through its capability (6 cycles/byte, the load+store pair,
+  checksum folded into the copy loop);
+* zero-copy — the frame is validated *in place* (2 cycles/byte,
+  load+accumulate only) and the stage hands up a ``csetbounds``-narrowed
+  view of the same buffer covering exactly the body.
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
-
-from repro.capability import Capability
-from .packets import FramingError, Packet, validate_frame
 
 #: Per-packet protocol processing beyond the copy (header parse, TCP
 #: state machine update, ACK generation) in cycles.
@@ -38,103 +23,3 @@ CYCLES_PER_BYTE = 6
 #: In-place validation cost per byte (load+accumulate, no store) on the
 #: zero-copy path, which never re-materialises the body.
 CYCLES_PER_BYTE_VALIDATE = 2
-
-
-@dataclass
-class NetStats:
-    packets_received: int = 0
-    bytes_received: int = 0
-    dropped_corrupt: int = 0
-    dropped_out_of_order: int = 0
-
-    @property
-    def packets_dropped(self) -> int:
-        """Derived total of all drops (historical table column)."""
-        return self.dropped_corrupt + self.dropped_out_of_order
-
-    @property
-    def out_of_order(self) -> int:
-        """Historical alias for the sequence-mismatch drop count."""
-        return self.dropped_out_of_order
-
-
-class NetworkStack:
-    """The TCP/IP compartment's receive path.
-
-    ``stats`` may be shared between per-session stacks so a scaled
-    pipeline aggregates one drop/byte tally across all its connections.
-    """
-
-    def __init__(
-        self,
-        malloc: Callable[[int], Capability],
-        free: Callable[[Capability], None],
-        write_buffer: Callable[[Capability, bytes], None],
-        read_buffer: Callable[[Capability, int], bytes],
-        stats: Optional[NetStats] = None,
-    ) -> None:
-        self._malloc = malloc
-        self._free = free
-        self._write_buffer = write_buffer
-        self._read_buffer = read_buffer
-        self.stats = stats if stats is not None else NetStats()
-        self._expected_seq = 1
-
-    def receive(self, packet: Packet) -> "Tuple[Optional[Capability], int, int]":
-        """Ingest one packet (copying path).
-
-        Returns ``(buffer_capability, body_length, cycles)``; the buffer
-        capability covers exactly the packet body, heap-allocated — the
-        capability is the object, there is no way for a later layer to
-        reach adjacent packets.  Returns ``(None, 0, cycles)`` for a
-        dropped (corrupt or out-of-order) packet.
-        """
-        cycles = CYCLES_PER_PACKET + CYCLES_PER_BYTE * packet.size
-        try:
-            sequence, offset, length = validate_frame(packet.payload)
-        except FramingError:
-            self.stats.dropped_corrupt += 1
-            return None, 0, cycles
-        if sequence != self._expected_seq:
-            self.stats.dropped_out_of_order += 1
-            return None, 0, cycles
-        body = packet.payload[offset : offset + length]
-        self._expected_seq = sequence + 1
-        self.stats.packets_received += 1
-        self.stats.bytes_received += length
-        buffer_cap = self._malloc(max(8, length))
-        self._write_buffer(buffer_cap, body)
-        return buffer_cap, length, cycles
-
-    def receive_view(
-        self, frame_cap: Capability, frame_len: int
-    ) -> "Tuple[Optional[Capability], int, int, int]":
-        """Ingest one packet already resident in a heap buffer (zero-copy).
-
-        Validates the frame in place and returns
-        ``(record_view, record_length, sequence, cycles)`` where
-        ``record_view`` is the *same* buffer narrowed to exactly the
-        frame body — no allocation, no copy — and ``sequence`` is the
-        accepted wire sequence number (the TLS record nonce).  Returns
-        ``(None, 0, 0, cycles)`` for a dropped packet; the caller keeps
-        ownership of ``frame_cap`` either way.
-        """
-        cycles = CYCLES_PER_PACKET + CYCLES_PER_BYTE_VALIDATE * frame_len
-        data = self._read_buffer(frame_cap, frame_len)
-        try:
-            sequence, offset, length = validate_frame(data)
-        except FramingError:
-            self.stats.dropped_corrupt += 1
-            return None, 0, 0, cycles
-        if sequence != self._expected_seq:
-            self.stats.dropped_out_of_order += 1
-            return None, 0, 0, cycles
-        self._expected_seq = sequence + 1
-        self.stats.packets_received += 1
-        self.stats.bytes_received += length
-        view = frame_cap.set_address(frame_cap.base + offset).set_bounds(length)
-        return view, length, sequence, cycles
-
-    def release(self, buffer_cap: Capability) -> None:
-        """Return a packet buffer to the heap (quarantined, revoked)."""
-        self._free(buffer_cap)

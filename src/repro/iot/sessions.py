@@ -1,8 +1,9 @@
-"""Scaled multi-session receive pipeline: zero-copy vs per-layer copy.
+"""The receive path: firewall, TCP/IP, TLS and MQTT compartments.
 
-The seed stack (:mod:`repro.iot.app`) serves one connection and
-re-materialises every packet body at each layer.  This module scales
-session handling to thousands of connections and realises the paper's
+This is the repository's one implementation of the paper's
+compartmentalised network stack (section 7.2.3).  It scales from the
+E6 application (:mod:`repro.iot.app`, a one-session client of this
+pipeline) to thousands of connections, and realises the paper's
 performant receive discipline — and its copying strawman — over the
 *same* compartment topology, so the two are directly comparable:
 
@@ -23,7 +24,7 @@ free, zero CPU copies.
 compartmentalised stack without capability narrowing.  The DMA engine
 lands frames in the driver's fixed RX ring, and since handing ring
 memory to another compartment would leak the whole ring, the driver
-must copy each frame out (6 cycles/byte, the seed's constant); the
+must copy each frame out (6 cycles/byte, the load+store pair); the
 same argument repeats at every boundary, so each layer that keeps the
 data copies it into a heap buffer of its own and frees its upstream
 buffer.  Five allocations per packet instead of one, which also
@@ -82,7 +83,7 @@ DRIVER_CYCLES_PER_BYTE = _netstack.CYCLES_PER_BYTE
 #: A ``csetaddr`` + ``csetbounds`` pair when a stage narrows its view.
 NARROW_CYCLES = 2
 #: TLS compartment charge for rejecting a tampered record (its own MAC
-#: check only — the seed app charges the same on a hostile record).
+#: check only).
 TLS_REJECT_CYCLES = 600
 
 
@@ -266,6 +267,7 @@ class NetPipeline:
         loader.link("app", "tcpip", "ingest")
         loader.link("app", "tls", "process")
         loader.link("app", "mqtt", "dispatch")
+        self._extend_image(loader)
         loader.finalize()
 
         app = self.system.app
@@ -285,6 +287,13 @@ class NetPipeline:
         # Work cycles charged inside the current stage call — what the
         # crossing-overhead measurement subtracts from the call total.
         self._inner = 0
+
+    def _extend_image(self, loader) -> None:
+        """Hook: add compartments to the image before it is finalized.
+
+        The stock pipeline adds nothing; an application built on the
+        pipeline overrides this to link its own compartments.
+        """
 
     # ------------------------------------------------------------------
     # Cost accounting helpers
@@ -509,7 +518,7 @@ class NetPipeline:
                 + _netstack.CYCLES_PER_BYTE_VALIDATE * item.length,
             )
         else:
-            # Copy+validate fused at the seed's 6 cycles/byte constant.
+            # Copy+validate fused at the copy loop's 6 cycles/byte.
             self._charge(
                 "cycles_tcpip",
                 _netstack.CYCLES_PER_PACKET

@@ -5,7 +5,7 @@ import pytest
 from repro.capability import MonotonicityFault, Permission, make_roots
 from repro.iot.firewall import Firewall
 from repro.iot.loadgen import NetLoadGen, drive
-from repro.iot.packets import frame
+from repro.iot.packets import FRAME_HEADER_BYTES, frame
 from repro.iot.sessions import (
     BoundedQueue,
     NetPipeline,
@@ -81,6 +81,20 @@ def _wire(conn_id, sequence, body):
     return frame(sequence, record)
 
 
+def _spy(pipeline, stage_one):
+    """Record ``(root, view, bytes under view)`` for every packet that
+    enters the per-packet handler ``stage_one``."""
+    seen = []
+    handler = getattr(pipeline, stage_one)
+
+    def spy(item):
+        seen.append((item.root, item.cap, pipeline._read(item.cap, item.length)))
+        return handler(item)
+
+    setattr(pipeline, stage_one, spy)
+    return seen
+
+
 @pytest.fixture(params=[True, False], ids=["zerocopy", "copy"])
 def pipeline(request):
     p = NetPipeline(zero_copy=request.param, collect_messages=True)
@@ -97,14 +111,28 @@ class TestNetPipeline:
         assert pipeline.sessions[7].delivered == 1
 
     def test_zero_copy_is_one_alloc_per_packet(self):
+        """Paper 7.2.3: every packet is a separate heap allocation,
+        freed once the packet has left the pipeline."""
         p = NetPipeline(zero_copy=True)
         p.establish(1)
+        roots = _spy(p, "_firewall_one")
+        freed = []
+        free = p._free
+
+        def spy_free(cap):
+            freed.append(cap.base)
+            free(cap)
+
+        p._free = spy_free
         for seq in range(1, 6):
             p.submit(1, _wire(1, seq, b"PUB:device/rpc:x"))
         p.drain()
         assert p.stats.allocs == 5
         assert p.stats.frees == 5
         assert p.stats.narrowings == 3 * 5  # firewall, tcpip, tls
+        bases = [root.base for root, _, _ in roots]
+        assert len(set(bases)) == 5
+        assert sorted(freed) == sorted(bases)
 
     def test_copy_mode_allocates_per_layer(self):
         p = NetPipeline(zero_copy=False)
@@ -134,9 +162,31 @@ class TestNetPipeline:
         assert pipeline.stats.frees == pipeline.stats.allocs
 
     def test_out_of_order_dropped(self, pipeline):
-        pipeline.submit(7, _wire(7, 3, b"PUB:device/rpc:early"))
-        pipeline.drain()
+        """A gap drops the early packet; the stream resumes in order."""
+        for seq in (1, 3, 2):
+            pipeline.submit(7, _wire(7, seq, b"PUB:device/rpc:x"))
+            pipeline.drain()
         assert pipeline.stats.dropped_out_of_order == 1
+        assert pipeline.stats.packets_delivered == 2
+        assert pipeline.sessions[7].expected_seq == 3
+
+    def test_tcpip_hands_tls_an_exact_body_view(self):
+        """Zero-copy TCP/IP narrows the driver's buffer to exactly the
+        frame body (the TLS record): no copy, nothing else in reach."""
+        p = NetPipeline(zero_copy=True)
+        p.establish(1)
+        wire = _wire(1, 1, b"PUB:device/rpc:hello")
+        seen = _spy(p, "_tls_one")
+        p.submit(1, wire)
+        p.drain()
+        ((root, view, data),) = seen
+        record = wire[FRAME_HEADER_BYTES:]
+        assert data == record
+        assert view.base == root.base + FRAME_HEADER_BYTES
+        assert view.length == len(record)
+        with pytest.raises(MonotonicityFault):
+            view.set_bounds(len(wire))
+        assert p.stats.packets_delivered == 1
 
     def test_tampered_record_dropped_by_tls(self, pipeline):
         tls = TLSSession(session_key(7))

@@ -1,82 +1,86 @@
-"""Tests for the TCP/IP and MQTT compartments."""
+"""Tests for the TCP/IP stage of the receive path and the MQTT
+compartment."""
 
 import pytest
 
-from repro.capability import Permission as P, make_roots
 from repro.iot.mqtt import MQTTClient, MQTTError
-from repro.iot.netstack import NetworkStack
-from repro.iot.packets import Packet, frame
+from repro.iot.packets import FRAME_HEADER_BYTES, frame
+from repro.iot.sessions import NetPipeline, session_key
+from repro.iot.tls import TLSSession
+
+CONN = 1
 
 
-class _Heap:
-    """A tiny capability-backed buffer store for netstack tests."""
-
-    def __init__(self):
-        roots = make_roots()
-        self._root = roots.memory
-        self._next = 0x2006_0000
-        self.buffers = {}
-        self.freed = []
-
-    def malloc(self, size):
-        cap = self._root.set_address(self._next).set_bounds((size + 7) & ~7)
-        self._next += 0x100
-        return cap
-
-    def free(self, cap):
-        self.freed.append(cap.base)
-
-    def write(self, cap, data):
-        self.buffers[cap.base] = bytes(data)
-
-    def read(self, cap, length):
-        return self.buffers[cap.base][:length]
+def _wire(sequence, body=b"PUB:device/rpc:x"):
+    tls = TLSSession(session_key(CONN))
+    tls.handshake()
+    record, _ = tls.seal_record(body, sequence)
+    return frame(sequence, record)
 
 
 @pytest.fixture
-def heap():
-    return _Heap()
+def stack():
+    """A one-session zero-copy pipeline whose TCP/IP stage records
+    ``(driver buffer, body view, bytes under the view)`` for every
+    packet it hands to TLS, and whose frees are recorded."""
+    p = NetPipeline(zero_copy=True)
+    p.establish(CONN)
+    p.handed_to_tls = []
+    p.freed = []
+    tls_one, free = p._tls_one, p._free
+
+    def spy_tls(item):
+        p.handed_to_tls.append(
+            (item.root, item.cap, p._read(item.cap, item.length)))
+        return tls_one(item)
+
+    def spy_free(cap):
+        p.freed.append(cap.base)
+        free(cap)
+
+    p._tls_one, p._free = spy_tls, spy_free
+    return p
 
 
-@pytest.fixture
-def stack(heap):
-    return NetworkStack(heap.malloc, heap.free, heap.write, heap.read)
+def _receive(stack, wire):
+    stack.submit(CONN, wire)
+    stack.drain()
 
 
 class TestNetworkStack:
-    def test_good_packet_lands_in_heap_buffer(self, stack, heap):
-        wire = frame(1, b"hello")
-        cap, length, cycles = stack.receive(Packet(1, wire))
-        assert cap is not None and length == 5
-        assert heap.read(cap, length) == b"hello"
-        assert cycles > 0
-        assert cap.length >= length
+    def test_good_packet_lands_in_heap_buffer(self, stack):
+        wire = _wire(1)
+        _receive(stack, wire)
+        ((root, view, data),) = stack.handed_to_tls
+        assert data == wire[FRAME_HEADER_BYTES:]
+        assert root.length >= len(wire)
+        assert view.length == len(data)
+        assert stack.stats.cycles_tcpip > 0
+        assert stack.stats.packets_delivered == 1
 
     def test_corrupt_packet_dropped(self, stack):
-        wire = bytearray(frame(1, b"hello"))
+        wire = bytearray(_wire(1))
         wire[-1] ^= 0xFF
-        cap, length, _ = stack.receive(Packet(1, bytes(wire)))
-        assert cap is None
-        assert stack.stats.packets_dropped == 1
+        _receive(stack, bytes(wire))
+        assert stack.handed_to_tls == []
+        assert stack.stats.dropped_corrupt == 1
 
     def test_out_of_order_dropped(self, stack):
-        stack.receive(Packet(1, frame(1, b"a")))
-        cap, _, _ = stack.receive(Packet(3, frame(3, b"c")))
-        assert cap is None
-        assert stack.stats.out_of_order == 1
+        _receive(stack, _wire(1))
+        _receive(stack, _wire(3))
+        assert len(stack.handed_to_tls) == 1
+        assert stack.stats.dropped_out_of_order == 1
 
-    def test_release_frees_buffer(self, stack, heap):
-        cap, _, _ = stack.receive(Packet(1, frame(1, b"x")))
-        stack.release(cap)
-        assert heap.freed == [cap.base]
+    def test_release_frees_buffer(self, stack):
+        _receive(stack, _wire(1))
+        ((root, _, _),) = stack.handed_to_tls
+        assert stack.freed == [root.base]
 
-    def test_every_packet_is_a_separate_allocation(self, stack, heap):
+    def test_every_packet_is_a_separate_allocation(self, stack):
         """Paper 7.2.3: per-packet heap allocations."""
-        caps = []
         for seq in (1, 2, 3):
-            cap, _, _ = stack.receive(Packet(seq, frame(seq, b"data")))
-            caps.append(cap)
-        bases = {c.base for c in caps}
+            _receive(stack, _wire(seq))
+        bases = {root.base for root, _, _ in stack.handed_to_tls}
         assert len(bases) == 3
 
 

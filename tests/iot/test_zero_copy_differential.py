@@ -4,64 +4,18 @@ The zero-copy rebuild of the receive path is an optimisation with a
 contract: for identical wire input, the application must observe
 *identical* messages, state and drop accounting under both
 disciplines — only the cycle economics may differ.  This suite holds
-the seed application and the scaled pipeline to that contract, and
-pins the fleet device sample (which now embeds a net-traffic phase)
-across execution tiers.
+the pipeline (the one receive path, which the E6 application also
+runs on) to that contract, and pins the fleet device sample (which
+embeds a net-traffic phase) across execution tiers.
 """
 
 import json
 
 import pytest
 
-from repro.allocator import TemporalSafetyMode
 from repro.fleet.device import DeviceSpec, run_device
-from repro.iot.app import IoTApplication
 from repro.iot.loadgen import NetLoadGen, drive
 from repro.iot.sessions import NetPipeline
-from repro.pipeline import CoreKind
-
-
-def _app_observables(zero_copy: bool, duration_ms: int = 3_000) -> dict:
-    app = IoTApplication(
-        core=CoreKind.IBEX,
-        mode=TemporalSafetyMode.HARDWARE,
-        zero_copy=zero_copy,
-    )
-    report = app.run(duration_ms=duration_ms)
-    return {
-        "packets_received": report.packets_received,
-        "js_ticks": report.js_ticks,
-        "js_objects_allocated": report.js_objects_allocated,
-        "led_final": tuple(report.led_final),
-        "net_received": app.netstack.stats.packets_received,
-        "net_bytes": app.netstack.stats.bytes_received,
-        "dropped_corrupt": app.netstack.stats.dropped_corrupt,
-        "dropped_out_of_order": app.netstack.stats.dropped_out_of_order,
-        "mqtt_messages": app.mqtt.stats.dispatched,
-        "tls_decrypted": app.tls.stats.records_decrypted,
-    }
-
-
-class TestSeedAppDifferential:
-    def test_app_behaviour_identical_across_disciplines(self):
-        assert _app_observables(True) == _app_observables(False)
-
-    @pytest.mark.parametrize("zero_copy", [True, False])
-    def test_cpu_load_regime_preserved(self, zero_copy):
-        """The e2e benchmark's acceptance window holds in both modes.
-
-        Its window is calibrated at the paper's 60 s run (the one-off
-        80M-cycle handshake dominates anything much shorter).
-        """
-        app = IoTApplication(
-            core=CoreKind.IBEX,
-            mode=TemporalSafetyMode.HARDWARE,
-            zero_copy=zero_copy,
-        )
-        report = app.run(duration_ms=60_000)
-        assert 0.05 < report.cpu_load < 0.35
-        assert report.js_ticks == 6000
-        assert sum(report.led_final) == 1
 
 
 def _pipeline_observables(zero_copy: bool) -> dict:

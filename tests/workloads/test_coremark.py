@@ -94,6 +94,28 @@ class TestHarness:
             assert row["cycles"] > 0
 
 
+class TestTraceJIT:
+    def test_rv32e_runs_on_the_trace_jit(self, monkeypatch):
+        """The trace-JIT compiles integer-addressing (rv32e) blocks too:
+        it refuses none of them, and retires instructions through them."""
+        from repro.workloads import coremark
+
+        cpus = []
+
+        class RecordingCPU(coremark.CPU):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                cpus.append(self)
+
+        monkeypatch.setattr(coremark, "CPU", RecordingCPU)
+        run_coremark(CoreKind.IBEX, "rv32e", iterations=1)
+        (cpu,) = cpus
+        assert cpu.mode is coremark.ExecutionMode.RV32E
+        assert cpu.jit_stats.compiles > 0
+        assert cpu.jit_stats.unsupported == 0
+        assert cpu.jit_stats.instructions > 0
+
+
 class TestKernelProfile:
     @pytest.fixture(scope="class")
     def profiles(self):

@@ -20,7 +20,8 @@ Worker supervision (shared with the fleet orchestrator,
 — a wedged benchmark is killed and reported instead of hanging the
 suite forever — and a failing module's stderr/stdout tail is printed
 under its name with a one-line rerun command, instead of a bare
-interleaved dump.
+interleaved dump.  Each module's wall-clock is printed as it finishes,
+so a slow benchmark is visible without profiling the suite.
 
 ``bench_simspeed.py`` is excluded from the merge: its output is host
 wall-clock (non-deterministic by nature).  Use ``tools/bench_speed.py``
@@ -167,7 +168,7 @@ def main(argv=None) -> int:
                     status = "TIMED OUT"
                 else:
                     status = f"FAILED (exit {result.returncode})"
-                print(f"  {module:<32} {status}")
+                print(f"  {module:<32} {status:<10} {result.duration:7.1f}s")
                 if not result.ok:
                     failures[module] = result
 
