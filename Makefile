@@ -7,32 +7,24 @@ CAMPAIGN ?= short
 ## Output path for `make trace` (open it at https://ui.perfetto.dev).
 TRACE ?= trace.json
 
-## Worker processes for `make bench` (one benchmark module per worker).
-PARALLEL ?= 1
+## Worker processes for everything that parallelises: `make bench`
+## (one benchmark module per worker), `make fleet` (one shard), `make
+## audit-refresh` (one image verification), `make net` (one sweep
+## point) and every rebuild in `make check`.  No artifact's bytes
+## depend on it.
+JOBS ?= 2
 
-## Worker processes for `make fleet` (one shard per worker).
-FLEET_JOBS ?= 2
-
-## Worker processes for `make audit` (one image verification per worker).
-AUDIT_JOBS ?= 2
-
-## Worker processes for `make net` / `make net-check` (one sweep point
-## per worker; the bytes are identical for any value).
-NET_JOBS ?= 2
-
-## Devices merged into the fleet Perfetto trace / fleet profile.
+## Devices merged into the fleet Perfetto trace / fleet profile (the
+## committed OBS_fleet_profile.json, and its gate, use 3).
 FLEET_TRACE_DEVICES ?= 3
 
-.PHONY: test ci bench bench-speed bench-check faults faults-check \
-	fleet fleet-check profile trace lint audit audit-refresh \
-	slo slo-check fleet-profile fleet-profile-check fleet-trace \
-	net net-check
+.PHONY: test ci check bench bench-speed faults fleet profile trace lint \
+	audit-refresh slo fleet-profile fleet-trace net
 
-test: lint faults-check bench-check fleet-check audit slo-check \
-		fleet-profile-check net-check
+test: lint check
 	$(PYTHON) -m pytest -x -q
 
-## What CI runs: the regression gates plus the full test suite.
+## What CI runs: the lint, every regression gate, the full test suite.
 ci: test
 
 ## AST lint: no wall-clock reads, unseeded RNG, or unordered iteration
@@ -40,29 +32,25 @@ ci: test
 lint:
 	$(PYTHON) tools/lint_determinism.py
 
-## CI gate: statically verify every audited image (zero capability
-## violations), evaluate the linkage policy, cross-check against the
-## code-splice mutants, and fail on any drift from AUDIT_baseline.json.
-## Byte-identical for any AUDIT_JOBS value.
-audit:
-	$(PYTHON) tools/capaudit.py --check --jobs $(AUDIT_JOBS)
+## Every regression gate in tools/gate.py, one per committed artifact
+## (simspeed, audit, faults, fleet, net, slo, fleet-profile, tables):
+## fails on drift or on a violated claim.  One gate alone:
+## `python tools/gate.py NAME`.
+check:
+	$(PYTHON) tools/gate.py --jobs $(JOBS)
 
 ## Refresh the committed AUDIT_baseline.json after an intentional
 ## change to the verifier, the images, or the policy.
 audit-refresh:
-	$(PYTHON) tools/capaudit.py --output AUDIT_baseline.json --jobs $(AUDIT_JOBS)
+	$(PYTHON) tools/capaudit.py --output AUDIT_baseline.json --jobs $(JOBS)
 
-## Regenerate bench_output_tables.txt (byte-identical for any PARALLEL).
+## Regenerate bench_output_tables.txt (byte-identical for any JOBS).
 bench:
-	$(PYTHON) tools/run_benchmarks.py --jobs $(PARALLEL)
+	$(PYTHON) tools/run_benchmarks.py --jobs $(JOBS)
 
 ## Measure simulator speed and refresh the committed baseline.
 bench-speed:
 	$(PYTHON) tools/bench_speed.py
-
-## CI gate: fail if the simulator got >20% slower than the baseline.
-bench-check:
-	$(PYTHON) tools/check_bench_regression.py
 
 ## Run a fault-injection campaign.  `make faults CAMPAIGN=full` refreshes
 ## the committed BENCH_faults.json (10,000 injections); the default short
@@ -74,20 +62,10 @@ else
 	$(PYTHON) tools/fault_campaign.py --campaign short --check --output -
 endif
 
-## CI gate: zero escaped injections + detection-rate non-regression.
-faults-check:
-	$(PYTHON) tools/check_fault_regression.py
-
 ## Run the supervised device fleet and refresh BENCH_fleet.json.  The
-## report is byte-identical for any FLEET_JOBS value (and for --serial).
+## report is byte-identical for any JOBS value (and for --serial).
 fleet:
-	$(PYTHON) tools/fleet_campaign.py --jobs $(FLEET_JOBS) --check
-
-## CI gate: the committed BENCH_fleet.json must reproduce byte-for-byte
-## from a serial in-process run, with zero escapes and zero degraded
-## shards.
-fleet-check:
-	$(PYTHON) tools/check_fleet_regression.py
+	$(PYTHON) tools/fleet_campaign.py --jobs $(JOBS) --check
 
 ## Per-compartment cycle attribution + hot-PC report for the reference
 ## telemetry workload (exits non-zero if attribution fails to reconcile
@@ -102,32 +80,16 @@ trace:
 ## Run the scaled network-stack sweep (zero-copy vs copying at 1..2048
 ## concurrent sessions) and refresh the committed BENCH_net.json.
 net:
-	$(PYTHON) tools/net_bench.py --jobs $(NET_JOBS)
-
-## CI gate: BENCH_net.json must reproduce byte-for-byte (any job
-## count), and zero-copy must stay >= 2x cheaper in per-packet stack
-## cycles at >= 1024 concurrent sessions.
-net-check:
-	$(PYTHON) tools/check_net_regression.py --jobs $(NET_JOBS)
+	$(PYTHON) tools/net_bench.py --jobs $(JOBS)
 
 ## Evaluate OBS_slo_policy.json over the stock fleet plan and refresh
 ## the committed OBS_slo.json (byte-identical for any execution route).
 slo:
-	$(PYTHON) tools/check_slo.py
-
-## CI gate: OBS_slo.json must reproduce byte-for-byte and every
-## service objective must hold (unknown rules fail closed).
-slo-check:
-	$(PYTHON) tools/check_slo.py --check
+	$(PYTHON) tools/slo_report.py
 
 ## Refresh the committed merged hot-PC fleet profile.
 fleet-profile:
 	$(PYTHON) tools/profile_report.py --fleet $(FLEET_TRACE_DEVICES)
-
-## CI gate: the fleet profile must reproduce byte-for-byte; on drift
-## the failure names the top-N hot-path churn.
-fleet-profile-check:
-	$(PYTHON) tools/profile_report.py --fleet $(FLEET_TRACE_DEVICES) --check
 
 ## Export the merged fleet Perfetto trace (one process per device).
 fleet-trace:

@@ -18,27 +18,18 @@ import pytest
 
 from repro.analysis.reporting import format_series
 from repro.pipeline import CoreKind
-from repro.workloads.alloc_bench import overhead_series, table4
+from repro.workloads.alloc_bench import (
+    ALLOCATION_SIZES,
+    overhead_series,
+    sweep,
+)
 from conftest import emit
-
-SIZES = tuple(32 << i for i in range(13))  # 32 B .. 128 KiB
-
-
-def _total_for(size: int) -> int:
-    return (1 << 20) if size >= 2048 else (1 << 18)
-
-
-def run_figure():
-    results = []
-    for size in SIZES:
-        results.extend(
-            table4(CoreKind.FLUTE, sizes=(size,), total_bytes=_total_for(size))
-        )
-    return results
 
 
 def test_figure5(benchmark):
-    results = benchmark.pedantic(run_figure, rounds=1, iterations=1)
+    results = benchmark.pedantic(
+        lambda: sweep(CoreKind.FLUTE), rounds=1, iterations=1
+    )
     series = overhead_series(results)
     emit(
         "Figure 5: allocator benchmark results on Flute "
@@ -55,7 +46,7 @@ def test_figure5(benchmark):
     assert software[128 * 1024] > 20
 
     # Hardware revoker is always cheaper than software.
-    for size in SIZES:
+    for size in ALLOCATION_SIZES:
         assert hardware[size] < software[size]
 
     # Hardware + HWM beats the baseline for small allocations

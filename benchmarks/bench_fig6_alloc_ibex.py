@@ -16,27 +16,18 @@ import pytest
 
 from repro.analysis.reporting import format_series
 from repro.pipeline import CoreKind
-from repro.workloads.alloc_bench import overhead_series, table4
+from repro.workloads.alloc_bench import (
+    ALLOCATION_SIZES,
+    overhead_series,
+    sweep,
+)
 from conftest import emit
-
-SIZES = tuple(32 << i for i in range(13))
-
-
-def _total_for(size: int) -> int:
-    return (1 << 20) if size >= 2048 else (1 << 18)
-
-
-def run_figure():
-    results = []
-    for size in SIZES:
-        results.extend(
-            table4(CoreKind.IBEX, sizes=(size,), total_bytes=_total_for(size))
-        )
-    return results
 
 
 def test_figure6(benchmark):
-    results = benchmark.pedantic(run_figure, rounds=1, iterations=1)
+    results = benchmark.pedantic(
+        lambda: sweep(CoreKind.IBEX), rounds=1, iterations=1
+    )
     series = overhead_series(results)
     emit(
         "Figure 6: allocator benchmark results on Ibex "

@@ -10,8 +10,8 @@ execute-many executor and pins its two load-bearing properties:
   speedup is pure host-time, never a semantic shortcut.
 
 ``tools/bench_speed.py`` records the same workloads to
-``BENCH_simspeed.json``; ``tools/check_bench_regression.py`` gates CI
-on them.
+``BENCH_simspeed.json``; ``tools/gate.py simspeed`` gates CI on
+them.
 """
 
 from repro.analysis.reporting import format_table

@@ -13,26 +13,17 @@ is normalized against its own baseline, so totals may differ per size).
 import pytest
 
 from repro.pipeline import CoreKind
-from repro.workloads.alloc_bench import format_table4, table4
+from repro.workloads.alloc_bench import format_table4, sweep
 from conftest import emit
 
 SIZES = (32, 1024, 32 * 1024, 128 * 1024)
 
 
-def _total_for(size: int) -> int:
-    return (1 << 20) if size >= 2048 else (1 << 18)
-
-
-def run_core(core: CoreKind):
-    results = []
-    for size in SIZES:
-        results.extend(table4(core, sizes=(size,), total_bytes=_total_for(size)))
-    return results
-
-
 @pytest.mark.parametrize("core", [CoreKind.FLUTE, CoreKind.IBEX])
 def test_table4(benchmark, core):
-    results = benchmark.pedantic(lambda: run_core(core), rounds=1, iterations=1)
+    results = benchmark.pedantic(
+        lambda: sweep(core, SIZES), rounds=1, iterations=1
+    )
     emit(
         f"Table 4 ({core.value}): cycles to allocate 1 MiB at different sizes",
         format_table4(results),

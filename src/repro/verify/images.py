@@ -295,7 +295,7 @@ def coremark_image() -> ImageSpec:
     )
 
 
-#: Name -> builder for every image `make audit` verifies.
+#: Name -> builder for every image the capability audit verifies.
 AUDITED_IMAGES: Dict[str, Callable[[], ImageSpec]] = {
     "baremetal": baremetal_image,
     "regwalk": regwalk_image,

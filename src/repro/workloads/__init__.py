@@ -8,6 +8,8 @@ from .alloc_bench import (
     format_table4,
     overhead_series,
     run_alloc_bench,
+    sweep,
+    sweep_total_bytes,
     table4,
 )
 from .coremark import (
@@ -33,6 +35,8 @@ __all__ = [
     "overhead_series",
     "run_coremark",
     "run_kernel_profile",
+    "sweep",
+    "sweep_total_bytes",
     "table3",
     "table4",
 ]

@@ -616,10 +616,21 @@ imms = st.integers(min_value=-2048, max_value=2047)
 mem_offsets = st.sampled_from([0, 4, 8, 64, DATA_SIZE - 4, DATA_SIZE])
 
 
+#: Capability derivations (the bounds the trace-JIT constant-folds).
+_CAP_RR = ["cincaddr", "csetaddr", "csetbounds", "csetboundsexact", "candperm"]
+_CAP_RI = ["cincaddrimm", "csetboundsimm"]
+_CAP_GET = ["cgetbase", "cgetlen"]
+cap_imms = st.sampled_from([-8, 0, 4, 8, 16, 64, DATA_SIZE])
+
+
 @st.composite
-def body_line(draw):
-    kind = draw(st.integers(min_value=0, max_value=4))
+def body_line(draw, derived=()):
+    """One instruction.  Capability operands come mostly from ``s0`` (the
+    data capability), otherwise from ``derived``: registers an earlier
+    capability op wrote."""
+    kind = draw(st.integers(min_value=0, max_value=7))
     rd, rs, rt = draw(regs), draw(regs), draw(regs)
+    cap = draw(st.sampled_from(("s0", "s0") + tuple(derived)))
     if kind == 0:
         return f"{draw(st.sampled_from(_ALU_RR))} {rd}, {rs}, {rt}"
     if kind == 1:
@@ -628,23 +639,43 @@ def body_line(draw):
         op = draw(st.sampled_from(["lw", "sw", "lb", "sb"]))
         scale = 4 if op in ("lw", "sw") else 1
         offset = draw(mem_offsets) // scale * scale
-        return f"{op} {rd}, {offset}(s0)"
+        return f"{op} {rd}, {offset}({cap})"
     if kind == 3:
         op = draw(st.sampled_from(["clc", "csc"]))
         offset = draw(mem_offsets) // 8 * 8
-        return f"{op} {rd}, {offset}(s0)"
-    return f"bne {rs}, {rt}, done"
+        return f"{op} {rd}, {offset}({cap})"
+    if kind == 4:
+        return f"bne {rs}, {rt}, done"
+    if kind == 5:
+        return f"{draw(st.sampled_from(_CAP_RR))} {rd}, {cap}, {rt}"
+    if kind == 6:
+        op = draw(st.sampled_from(_CAP_RI))
+        return f"{op} {rd}, {cap}, {draw(cap_imms)}"
+    op = draw(st.sampled_from(_CAP_GET + ["cmove"]))
+    return f"{op} {rd}, {cap}"
+
+
+#: Ops whose destination then holds a (possibly tagged) capability.
+_CAP_RESULTS = frozenset(_CAP_RR + _CAP_RI + ["cmove", "clc"])
 
 
 @st.composite
 def mixed_program(draw):
     n = draw(st.integers(min_value=1, max_value=24))
-    lines = [draw(body_line()) for _ in range(n)]
+    lines, derived = [], []
+    for _ in range(n):
+        line = draw(body_line(tuple(derived)))
+        lines.append(line)
+        op, rd = line.split()[0], line.split()[1].rstrip(",")
+        if op in _CAP_RESULTS and rd not in derived:
+            derived.append(rd)
+        elif op not in _CAP_RESULTS and op not in ("sw", "sb", "csc", "bne"):
+            derived = [reg for reg in derived if reg != rd]
     return "\n".join(lines) + "\ndone: halt\n"
 
 
 class TestRandomizedEquivalence:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(mixed_program())
     def test_run_outcome_identical(self, source):
         # Unlike the predecode differential (which single-steps), this

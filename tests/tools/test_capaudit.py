@@ -57,7 +57,7 @@ def test_committed_baseline_matches_a_fresh_run(capaudit, doc):
 
 
 def test_gates_pass_on_the_stock_audit(capaudit, doc):
-    assert capaudit._enforce_gates(doc) == []
+    assert capaudit.enforce_gates(doc) == []
 
 
 def test_gates_catch_injected_violations(capaudit, doc):
@@ -74,5 +74,5 @@ def test_gates_catch_injected_violations(capaudit, doc):
         {"rule": "mmio-allowlist", "subject": "x", "message": "synthetic"}
     )
     bad["crosscheck"]["consistent"] = False
-    problems = capaudit._enforce_gates(bad)
+    problems = capaudit.enforce_gates(bad)
     assert len(problems) == 3

@@ -1,5 +1,6 @@
 """The net benchmark tool and its regression gate."""
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -33,7 +34,12 @@ def net_bench():
 
 @pytest.fixture(scope="module")
 def check_net(net_bench):
-    return _load("check_net_regression")
+    return _load("gate").GATES["net"]
+
+
+@pytest.fixture(scope="module")
+def gate(check_net):
+    return sys.modules["gate"]
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +95,7 @@ class TestCommittedBaseline:
     def test_committed_baseline_meets_the_claim(self, check_net):
         with open(os.path.join(REPO, "BENCH_net.json")) as fh:
             baseline = json.load(fh)
-        assert check_net.check_ratios(baseline) == []
+        assert check_net.claims(baseline) == []
 
     def test_committed_sweep_reaches_scale(self):
         with open(os.path.join(REPO, "BENCH_net.json")) as fh:
@@ -104,21 +110,28 @@ class TestGate:
         path.write_text(net_bench.render_document(small_doc))
         return path
 
-    def test_missing_baseline_exits_2(self, check_net, tmp_path):
-        rc = check_net.main(
-            ["--baseline", str(tmp_path / "absent.json")]
-        )
+    def test_missing_baseline_exits_2(self, gate, check_net, tmp_path):
+        rc = gate.run_gate(check_net, path=str(tmp_path / "absent.json"))
         assert rc == 2
 
     def test_tampered_counter_detected(
-        self, check_net, net_bench, small_doc, tmp_path
+        self, gate, check_net, net_bench, small_doc, tmp_path, capsys
     ):
         doc = json.loads(net_bench.render_document(small_doc))
         doc["sweep"][0]["counters"]["packets_delivered"] += 1
         path = tmp_path / "tampered.json"
         path.write_text(net_bench.render_document(doc))
-        rc = check_net.main(["--baseline", str(path)])
+        small = dataclasses.replace(
+            check_net,
+            build=lambda jobs: net_bench.build_document(
+                conns=SMALL_CONNS, rounds=SMALL_ROUNDS, jobs=jobs
+            ),
+        )
+        rc = gate.run_gate(small, path=str(path))
         assert rc == 1
+        err = capsys.readouterr().err
+        assert "sweep[0].counters.packets_delivered" in err
+        assert "make net" in err
 
     def test_ratio_floor_enforced(self, check_net):
         doc = {
@@ -126,10 +139,10 @@ class TestGate:
                 {"connections": 2048, "stack_cycles_ratio": 1.4},
             ]
         }
-        problems = check_net.check_ratios(doc)
+        problems = check_net.claims(doc)
         assert len(problems) == 1
         assert "1.4" in problems[0]
 
     def test_no_at_scale_point_is_a_problem(self, check_net):
         doc = {"comparison": [{"connections": 64, "stack_cycles_ratio": 9.0}]}
-        assert check_net.check_ratios(doc)
+        assert check_net.claims(doc)

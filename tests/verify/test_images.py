@@ -1,6 +1,6 @@
 """The stock audited images verify clean — the headline static claim.
 
-``make audit`` stakes the repository's reputation on these: every
+The ``audit`` gate stakes the repository's reputation on these: every
 image the simulator actually runs (bare-metal example, fault-campaign
 register walk, the assembly switcher, CoreMark) passes the abstract
 interpreter with **zero** violations, and the committed baseline

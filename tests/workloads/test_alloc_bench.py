@@ -9,9 +9,12 @@ import pytest
 from repro.allocator import TemporalSafetyMode as M
 from repro.pipeline import CoreKind
 from repro.workloads.alloc_bench import (
+    TOTAL_BYTES,
     format_table4,
     overhead_series,
     run_alloc_bench,
+    sweep,
+    sweep_total_bytes,
     table4,
 )
 
@@ -104,3 +107,10 @@ class TestHarness:
         assert baseline[64] == pytest.approx(1.0)
         text = format_table4(results)
         assert "64B" in text and "4KiB" in text
+
+    def test_sweep_scales_small_sizes_down(self):
+        assert sweep_total_bytes(1024) == TOTAL_BYTES // 4
+        assert sweep_total_bytes(2048) == TOTAL_BYTES
+        results = sweep(CoreKind.IBEX, sizes=(128 * 1024,))
+        assert len(results) == 4 * 2
+        assert {r.iterations for r in results} == {8}

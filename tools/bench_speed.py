@@ -8,7 +8,7 @@ Usage (from the repository root)::
 The JSON records, per workload, host wall-clock seconds (and MIPS where
 instruction counts are meaningful), alongside the pre-optimization seed
 baseline for the before/after story.  The committed copy is the baseline
-``tools/check_bench_regression.py`` gates against.
+``tools/gate.py simspeed`` gates against.
 """
 
 from __future__ import annotations
@@ -31,6 +31,22 @@ from repro.analysis.simspeed import (  # noqa: E402
 )
 
 
+def measure(repeat: int = 3) -> dict:
+    """Best-of-``repeat`` seconds per workload, plus the host-speed probe
+    (run on both sides of the window, min kept: it should describe this
+    host at its quietest, as the best-of-repeat minima do)."""
+    probe = host_speed_probe()
+    best: dict = {}
+    for _ in range(max(1, repeat)):
+        for name, result in measure_all().items():
+            if name not in best or result["seconds"] < best[name]["seconds"]:
+                best[name] = result
+    return {
+        "probe_seconds": min(probe, host_speed_probe()),
+        "workloads": best,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -47,24 +63,14 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    # Probe on both sides of the measurement window and keep the min:
-    # the baseline probe should describe this host at its quietest, the
-    # same moment the best-of-repeat workload minima were achieved.
-    probe = host_speed_probe()
-    best: dict = {}
-    for _ in range(max(1, args.repeat)):
-        for name, result in measure_all().items():
-            if name not in best or result["seconds"] < best[name]["seconds"]:
-                best[name] = result
-    probe = min(probe, host_speed_probe())
-
+    measured = measure(args.repeat)
+    best = measured["workloads"]
     report = {
         "generated": datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"
         ),
         "python": platform.python_version(),
-        "probe_seconds": probe,
-        "workloads": best,
+        **measured,
         "seed_baseline": SEED_BASELINE,
         "speedup_vs_seed": {
             "table3_iter1": round(
@@ -80,7 +86,7 @@ def main(argv=None) -> int:
             ),
             # coremark_1k has no seed-era number (the workload post-dates
             # the seed); it is gated purely against the committed
-            # baseline by check_bench_regression.py.
+            # baseline by tools/gate.py simspeed.
         },
     }
     with open(args.output, "w") as fh:

@@ -5,7 +5,6 @@ Usage (from the repository root)::
 
     PYTHONPATH=src python tools/capaudit.py              # print the audit
     PYTHONPATH=src python tools/capaudit.py --output AUDIT_baseline.json
-    PYTHONPATH=src python tools/capaudit.py --check      # CI gate
     PYTHONPATH=src python tools/capaudit.py --jobs 4     # parallel verify
 
 One run produces the complete static story of the repo's images:
@@ -20,12 +19,12 @@ One run produces the complete static story of the repo's images:
   code-splice mutants.
 
 The output is deterministic — byte-identical across runs and across
-``--jobs`` values — and committed as ``AUDIT_baseline.json``.
-``--check`` recomputes everything, enforces the safety gates (zero
-violations, policy clean, crosscheck consistent) and fails on any byte
-of drift from the committed baseline.
+``--jobs`` values — and committed as ``AUDIT_baseline.json``, which
+``tools/gate.py audit`` gates.
 
-Exit status 1 on any violation or drift, 2 on an unusable baseline.
+Exit status 1 if any safety gate fails (a violation, a policy
+violation, or an inconsistent crosscheck); the document is still
+written.
 """
 
 from __future__ import annotations
@@ -38,9 +37,6 @@ import sys
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-
-from _baseline import BaselineError, first_divergence, load_baseline  # noqa: E402
 
 AUDIT_VERSION = 1
 
@@ -97,7 +93,7 @@ def render(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _enforce_gates(doc: dict) -> "list[str]":
+def enforce_gates(doc: dict) -> "list[str]":
     """The absolute claims: what must hold for any committable audit."""
     problems = []
     for name, result in doc["images"].items():
@@ -157,11 +153,6 @@ def main(argv=None) -> int:
         help="declarative policy file (default: %(default)s)",
     )
     parser.add_argument(
-        "--baseline",
-        default="AUDIT_baseline.json",
-        help="committed audit baseline for --check (default: %(default)s)",
-    )
-    parser.add_argument(
         "--output",
         help="write the audit document to this path",
     )
@@ -171,48 +162,21 @@ def main(argv=None) -> int:
         default=1,
         help="parallel image-verification workers (default: %(default)s)",
     )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="CI gate: enforce safety gates and fail on baseline drift",
-    )
     args = parser.parse_args(argv)
 
     doc = build_audit(args.policy, jobs=max(1, args.jobs))
     print(_summarise(doc))
 
-    failed = False
-    for problem in _enforce_gates(doc):
+    problems = enforce_gates(doc)
+    for problem in problems:
         print(problem, file=sys.stderr)
-        failed = True
-
-    if args.check:
-        try:
-            baseline = load_baseline(
-                args.baseline,
-                hint="make audit-refresh  "
-                "(PYTHONPATH=src python tools/capaudit.py "
-                "--output AUDIT_baseline.json)",
-            )
-        except BaselineError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        if render(baseline) != render(doc):
-            where = first_divergence(baseline, doc) or "(byte-level only)"
-            print(f"audit drifted from baseline at: {where}", file=sys.stderr)
-            print(
-                "if the change is intentional, refresh with: "
-                "make audit-refresh",
-                file=sys.stderr,
-            )
-            failed = True
 
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(render(doc))
         print(f"wrote {args.output}")
 
-    if failed:
+    if problems:
         print("capability audit failed", file=sys.stderr)
         return 1
     print("capability audit holds")

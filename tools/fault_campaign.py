@@ -8,9 +8,9 @@ Usage (from the repository root)::
 
 ``--campaign full`` (10,000 injections) refreshes the committed
 ``BENCH_faults.json``; ``--campaign short`` (750 injections) is the
-fast configuration wired into ``make test``.  The output is fully
-deterministic for a given ``(seed, total)`` pair — no timestamps, no
-environment — so the committed file is bit-reproducible.
+fast configuration, the size ``tools/gate.py faults`` re-runs.  The
+output is fully deterministic for a given ``(seed, total)`` pair — no
+timestamps, no environment — so the committed file is bit-reproducible.
 
 ``--check`` additionally exits non-zero if any injection escaped, so
 the runner doubles as a gate.  Every escape is reported with its fault
@@ -49,16 +49,21 @@ def reproduce_command(index: int, seed: int) -> str:
     )
 
 
-def print_escape(record, seed: int, out=sys.stderr) -> None:
-    """One actionable block per escaped injection."""
-    print(
-        f"ESCAPED injection #{record.index} "
-        f"[fault class {record.fault_class.value}, seed {seed}]\n"
-        f"  scenario: {record.scenario}\n"
-        f"  detail:   {record.detail or '(none)'}\n"
-        f"  replay:   {reproduce_command(record.index, seed)}",
-        file=out,
-    )
+def escape_claims(doc: dict) -> list:
+    """Zero escaped injections (``--check``, ``tools/gate.py faults``);
+    each ``escaped_details`` entry comes with its replay command."""
+    seed, escaped = doc["seed"], doc["outcomes"]["escaped"]
+    if escaped == 0:
+        return []
+    problems = [f"{escaped} escaped injections (must be 0)"]
+    for entry in doc.get("escaped_details", []):
+        problems.append(
+            f"escaped injection #{entry['index']} [fault class "
+            f"{entry['fault_class']}, seed {seed}] {entry['scenario']}: "
+            f"{entry.get('detail') or '(no detail)'}\n"
+            f"    replay: {reproduce_command(entry['index'], seed)}"
+        )
+    return problems
 
 
 def reproduce(index: int, seed: int) -> int:
@@ -128,7 +133,8 @@ def main(argv=None) -> int:
         print(f"  {done}/{planned} injections", file=sys.stderr)
 
     result = run_campaign(total=total, seed=args.seed, progress=progress)
-    payload = json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
+    doc = result.to_dict()
+    payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.output == "-":
         sys.stdout.write(payload)
     else:
@@ -142,11 +148,10 @@ def main(argv=None) -> int:
         f"{tally['detected']} detected, {tally['contained']} contained, "
         f"{tally['escaped']} ESCAPED ({result.wrong_results} wrong results)"
     )
-    if args.check and result.escaped:
-        for record in result.escaped:
-            print_escape(record, args.seed)
-        return 1
-    return 0
+    problems = escape_claims(doc) if args.check else []
+    for problem in problems:
+        print(f"GATE: {problem}", file=sys.stderr)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

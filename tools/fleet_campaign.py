@@ -37,7 +37,8 @@ Two observability artifacts ride along:
   object that writes the ``health.json`` sidecar, so the two can never
   disagree.  The ``host`` group is wall-clock territory and therefore
   lives outside the byte-stable ``aggregate`` (which is identical for
-  any ``--jobs`` value; ``tools/check_slo.py`` gates it).
+  any ``--jobs`` value; ``tools/slo_report.py`` evaluates the SLO
+  policy over it).
 
 ``--serial`` runs every shard in-process (no worker pool, no
 supervision) — the reference execution the chaos tests compare
@@ -80,18 +81,23 @@ EXIT_GATE_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERRUPTED = 130
 
+#: The plan ``make fleet`` runs by default: the committed
+#: ``BENCH_fleet.json`` and the SLO report ``OBS_slo.json`` both derive
+#: from it.
+STOCK_PLAN = FleetPlan(devices=8)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--devices", type=int, default=8)
-    parser.add_argument("--shard-size", type=int, default=2)
-    parser.add_argument("--seed", type=int, default=20260807)
+    parser.add_argument("--devices", type=int, default=STOCK_PLAN.devices)
+    parser.add_argument("--shard-size", type=int, default=STOCK_PLAN.shard_size)
+    parser.add_argument("--seed", type=int, default=STOCK_PLAN.seed)
     parser.add_argument(
-        "--injections", type=int, default=3,
+        "--injections", type=int, default=STOCK_PLAN.injections_per_device,
         help="fault injections per device (default: %(default)s)",
     )
     parser.add_argument(
-        "--alloc-ops", type=int, default=12,
+        "--alloc-ops", type=int, default=STOCK_PLAN.alloc_ops,
         help="allocation ops per device (default: %(default)s)",
     )
     parser.add_argument("--jobs", "-j", type=int, default=1)
@@ -270,18 +276,25 @@ def main(argv=None) -> int:
             f"{health['quarantined']} quarantined"
         )
 
-    if args.check:
-        failed = False
-        if agg["faults"]["escaped"]:
-            print("GATE: escaped injections in fleet run", file=sys.stderr)
-            failed = True
-        if report["degraded"]:
-            shards = [e["shard"] for e in report["degraded"]]
-            print(f"GATE: quarantined shards {shards}", file=sys.stderr)
-            failed = True
-        if failed:
-            return EXIT_GATE_FAILED
-    return 0
+    problems = fleet_claims(report) if args.check else []
+    for problem in problems:
+        print(f"GATE: {problem}", file=sys.stderr)
+    return EXIT_GATE_FAILED if problems else 0
+
+
+def fleet_claims(report: dict) -> list:
+    """Zero escapes, no degraded shard: ``--check`` and ``gate.py fleet``."""
+    problems = []
+    escaped = report["aggregates"]["faults"]["escaped"]
+    if escaped != 0:
+        problems.append(f"{escaped} escaped injections (must be 0)")
+    if report["degraded"]:
+        shards = [entry.get("shard") for entry in report["degraded"]]
+        problems.append(
+            f"produced by a degraded run (quarantined shards {shards}); "
+            "rerun the fleet cleanly before committing"
+        )
+    return problems
 
 
 def _write_telemetry(args, plan, results, quarantined, health_stats) -> None:

@@ -70,15 +70,14 @@ DETERMINISTIC_PATHS = [
     "src/repro/obs/slo.py",
     "src/repro/rtos/audit.py",
     "src/repro/verify/*.py",
-    "tools/_baseline.py",
     "tools/capaudit.py",
-    "tools/check_fault_regression.py",
-    "tools/check_fleet_regression.py",
-    "tools/check_net_regression.py",
-    "tools/check_slo.py",
     "tools/fault_campaign.py",
+    "tools/fleet_campaign.py",
+    "tools/gate.py",
     "tools/net_bench.py",
+    "tools/profile_report.py",
     "tools/run_benchmarks.py",
+    "tools/slo_report.py",
 ]
 
 SUPPRESS_MARKER = "det: allow"

@@ -28,7 +28,7 @@ narrowing optimises; the total ratio is reported alongside.
 Everything derives from simulated cycles and one seed, so the rendered
 bytes are identical for any ``--jobs`` value: each worker computes one
 (mode, connections) point independently and the document is assembled
-in a fixed order.  ``tools/check_net_regression.py`` is the CI gate.
+in a fixed order.  ``tools/gate.py net`` is the regression gate.
 """
 
 from __future__ import annotations
