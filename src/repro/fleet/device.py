@@ -196,7 +196,7 @@ def run_device(spec: DeviceSpec) -> dict:
             buf_size=_KERNEL_BUF_SIZE,
         )
     )
-    cpu = system.make_cpu(trace_jit=spec.trace_jit, jit_threshold=16)
+    cpu = system.make_cpu(trace_jit=spec.trace_jit)
     from repro.capability import make_roots
 
     roots = make_roots()

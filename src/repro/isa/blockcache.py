@@ -1,38 +1,36 @@
-"""Superblock translation cache: fuse straight-line runs into one dispatch.
+"""Superblock translation: straight-line runs as the trace-JIT's input.
 
-The decode-once/execute-many table (:func:`repro.isa.executor._decode_program`)
-still pays the full per-instruction step overhead — retire-info
-construction, per-retire timing classification, fetch-window and budget
-checks — on every instruction.  This module fuses *straight-line runs*
-of pre-decoded instructions into :class:`Block` objects executed with a
-single dispatch from the run loop:
+The executor's block loop walks the program as :class:`Block` objects:
+maximal *straight-line runs* of pre-decoded instructions (at most
+:data:`MAX_BLOCK_INSTRUCTIONS`) plus the *terminator* — the branch,
+jump, compartment call, CSR access or system instruction that ends the
+run.  Translation resolves, once per block,
 
-* the run's handlers fire back-to-back from a pre-built entry tuple
-  (no per-instruction fetch, bounds or window checks — the window is
-  checked once for the whole block);
-* retired-instruction counts are batch-added, and cycle/stall/bus-beat
-  accounting is one :meth:`repro.pipeline.CoreModel.charge_block` call
-  against a cost vector pre-classified at translation time;
-* the block's *terminator* — the branch, jump, compartment call, CSR
-  access or system instruction that ends the run — executes inside the
-  same dispatch with the ordinary per-instruction semantics (dynamic
-  branch-taken cost, trap conversion, sentry handling).
+* the run's ``(operands, pc, info, pre)`` entries with static
+  retire infos (destination/source registers, load destinations),
+  which the code generator of :mod:`repro.isa.tracejit` compiles;
+* the pre-classified cost vector (:meth:`repro.pipeline.CoreModel.precompute_block`)
+  that compiled code batch-charges in one ``charge_block`` call, and
+  the per-instruction pre-flush amounts streamed ahead of each memory
+  operation;
+* the PC range, so the whole block's fetch is checked against the PCC
+  window once, and stores into the range invalidate it.
 
-Blocks never change observable architectural behaviour: translation is
-driven off the same decoded table, mid-block faults replay the retired
-prefix through the ordinary ``retire()`` path before converting the
-fault exactly like a single step would, and the executor refuses the
-fused path entirely (per step) whenever an observer is attached — a
-``pre_step_hook`` (fault injection), retire hooks (tracing/profiling)
-or a polled timer — so those consumers see the same per-instruction
-stream as always.
+Blocks never change observable architectural behaviour: a cold or
+uncompilable block is stepped by the interpreter, a fault inside
+compiled code replays the retired prefix through the ordinary
+``retire()`` path before converting the fault exactly like a single
+step would, and the executor refuses the block loop entirely (per step)
+whenever an observer is attached — a ``pre_step_hook`` (fault
+injection), retire hooks (tracing/profiling) or a polled timer — so
+those consumers see the same per-instruction stream as always.
 
-A *fusable* instruction is one that cannot redirect control flow, never
-reads the program counter outside of fault construction, and cannot
-change the interrupt posture or trap plumbing.  Memory and capability
-instructions *are* fusable even though they can fault: the executor
-keeps ``cpu.pc`` current through the block precisely so a mid-block
-fault carries the right PC.
+A *fusable* instruction (one that may sit inside a straight-line run)
+cannot redirect control flow, never reads the program counter outside of
+fault construction, and cannot change the interrupt posture or trap
+plumbing.  Memory and capability instructions *are* fusable even though
+they can fault: compiled code keeps ``cpu.pc`` current through the
+block precisely so a mid-block fault carries the right PC.
 """
 
 from __future__ import annotations
@@ -81,15 +79,12 @@ class BlockCacheStats:
 
     #: Blocks translated (including re-translations after invalidation).
     translations: int = 0
-    #: Fused block dispatches executed to completion or fault.
-    executions: int = 0
-    #: Instructions retired through fused dispatches (incl. terminators).
+    #: Instructions the block loop retired outside compiled code: cold
+    #: or uncompilable blocks stepped by the interpreter, and the
+    #: terminators compiled code leaves to the interpreter.
     instructions: int = 0
     #: Cached blocks dropped by stores into their code range.
     invalidations: int = 0
-    #: Steps the block run loop routed through the ordinary single-step
-    #: path (non-fusable start, window miss, or exhausted step budget).
-    single_steps: int = 0
 
     def reset(self) -> None:
         # Field-derived so a new counter can never miss the reset.
@@ -100,11 +95,10 @@ class BlockCacheStats:
 class Block:
     """One translated superblock.
 
-    ``entries`` drive the fused straight-line dispatch; ``pairs`` are
-    the matching ``(instr, info)`` retire stream (for the pre-classified
-    cost vector and for single-step replay after a mid-block fault);
-    ``term`` is the optional terminator executed with full
-    per-instruction semantics.
+    ``entries`` are the straight-line run the code generator compiles;
+    their static retire infos also replay a faulting block's retired
+    prefix.  ``term`` is the optional terminator, compiled when simple
+    and otherwise executed with full per-instruction semantics.
     """
 
     __slots__ = (
@@ -115,12 +109,10 @@ class Block:
         "length",
         "steps",
         "entries",
-        "pairs",
         "term",
         "term_bails",
         "charge",
         "timing",
-        "hits",
         "jit",
         "jit_failed",
         "jit_source",
@@ -133,7 +125,6 @@ class Block:
         start_pc: int,
         last_pc: int,
         entries: Tuple[tuple, ...],
-        pairs: Tuple[tuple, ...],
         term: Optional[tuple],
         term_bails: bool,
         charge,
@@ -152,7 +143,6 @@ class Block:
         #: terminator, matching what single-stepping would consume).
         self.steps = self.length + (1 if term is not None else 0)
         self.entries = entries
-        self.pairs = pairs
         self.term = term
         #: True when the terminator can run arbitrary host Python (an
         #: ``ecall`` into the CPU's ``ecall_handler``) that may install
@@ -166,19 +156,17 @@ class Block:
         #: The timing model the charge was classified for; the executor
         #: re-translates if the CPU's model is swapped out.
         self.timing = timing
-        #: Fused executions since translation — the trace-JIT promotion
-        #: counter.  Reset naturally on re-translation (invalidation or
-        #: timing swap), so compiled code is always rebuilt from the
-        #: current decoded table and cost vector.
-        self.hits = 0
-        #: :class:`repro.isa.tracejit.CompiledBlock` once promoted.
+        #: :class:`repro.isa.tracejit.CompiledBlock` once promoted.  Lost
+        #: on re-translation (invalidation or timing swap), so compiled
+        #: code is always rebuilt from the current decoded table and cost
+        #: vector.
         self.jit = None
         #: True when the code generator refused this block (unsupported
-        #: construct); it stays on the fused tier permanently.
+        #: construct); the interpreter steps it permanently.
         self.jit_failed = False
-        #: Generated source remembered by the first-execution cache
-        #: probe, so later heat checkpoints can accumulate cross-CPU
-        #: hotness without regenerating it.
+        #: ``(source, consumed, handles_term, self_loop)`` generated on
+        #: the block's first execution; the source keys the promotion
+        #: counter and the shared code cache.
         self.jit_source = None
 
 
@@ -188,7 +176,7 @@ def translate_block(cpu, index: int) -> Optional[Block]:
 
     Builds static retire infos (destination/source registers, load
     destinations) at translation time so the cost vector can be
-    pre-classified and fused execution never allocates per instruction.
+    pre-classified and compiled code never allocates per instruction.
     """
     from .executor import _RetireInfo  # circular at import time only
 
@@ -199,7 +187,7 @@ def translate_block(cpu, index: int) -> Optional[Block]:
     entries: List[tuple] = []
     pairs: List[tuple] = []
     while i < limit:
-        handler, operands, instr, dest, srcs = decoded[i]
+        _handler, operands, instr, dest, srcs = decoded[i]
         if instr.mnemonic not in FUSABLE_MNEMONICS:
             break
         pc = code_base + 4 * i
@@ -212,7 +200,7 @@ def translate_block(cpu, index: int) -> Optional[Block]:
             info.mem_dest = operands[0]
             if cls is CLOAD:
                 info.cap_load = True
-        entries.append([handler, operands, pc, info])
+        entries.append((operands, pc, info))
         pairs.append((instr, info))
         i += 1
     if i == index:
@@ -231,7 +219,7 @@ def translate_block(cpu, index: int) -> Optional[Block]:
         last_pc = term_pc
     timing = cpu.timing
     charge = timing.precompute_block(pairs) if timing is not None else None
-    # Pre-flush amounts: cycles the executor streams into the timing
+    # Pre-flush amounts: cycles compiled code streams into the timing
     # stats *before* each memory operation, so host code reachable from
     # inside the block (MMIO device reads, store snoopers) observes the
     # exact cycle count single-stepping would have shown it.  ALU-only
@@ -250,10 +238,7 @@ def translate_block(cpu, index: int) -> Optional[Block]:
         end_index=end_index,
         start_pc=code_base + 4 * index,
         last_pc=last_pc,
-        entries=tuple(
-            (e[0], e[1], e[2], e[3], pres[j]) for j, e in enumerate(entries)
-        ),
-        pairs=tuple(pairs),
+        entries=tuple(e + (pre,) for e, pre in zip(entries, pres)),
         term=term,
         term_bails=term_bails,
         charge=charge,

@@ -42,12 +42,7 @@ from repro.capability.otypes import (
 from repro.memory.bus import SystemBus
 from .assembler import Program
 from .blockcache import BlockCacheStats, translate_block
-from .tracejit import (
-    HEAT_CHECKPOINT,
-    TraceJITStats,
-    compile_block,
-    note_block_heat,
-)
+from .tracejit import TraceJITStats, promote
 from .csr import CSRFile
 from .exceptions import Trap, TrapCause, trap_from_capability_fault
 from .instructions import Instruction
@@ -141,40 +136,29 @@ class CPU:
         timing=None,
         hwm_enabled: bool = True,
         cfi_strict: bool = False,
-        predecode: bool = True,
-        block_cache: bool = True,
         trace_jit: bool = True,
-        jit_threshold: int = 50,
     ) -> None:
         self.bus = bus
         self.mode = mode
         self.load_filter = load_filter
         self.pmp = pmp
         self._timing = timing
-        #: Decode-once, execute-many: with ``predecode`` (the default)
-        #: the handler and operand metadata of every instruction are
-        #: resolved at :meth:`load_program` time.  ``predecode=False``
-        #: keeps the seed's per-step interpretive dispatch — the
-        #: reference semantics the differential tests compare against.
-        self._predecode = predecode
+        #: Decode once, execute many: the handler and operand metadata of
+        #: every instruction are resolved at :meth:`load_program` time.
         self._decoded: Optional[List[tuple]] = None
-        #: Superblock translation cache (:mod:`repro.isa.blockcache`):
-        #: with ``block_cache`` (the default, pre-decode only) the run
-        #: loop fuses straight-line runs into single-dispatch blocks.
-        #: The fused path is refused per step while any observer is
-        #: attached (``pre_step_hook``, retire hooks, a polled timer),
-        #: so telemetry and fault injection always see the ordinary
-        #: per-instruction stream.
-        self._block_cache_enabled = block_cache and predecode
+        #: Two execution tiers.  The interpreter (:meth:`_step_fast`) is
+        #: the reference semantics; ``trace_jit=False`` runs it alone.
+        #: With ``trace_jit`` (the default) the run loop walks superblocks
+        #: (:mod:`repro.isa.blockcache`) and runs hot ones as compiled
+        #: trace-JIT code (:mod:`repro.isa.tracejit`), interpreting cold
+        #: or uncompilable ones.  The block loop is refused per step while
+        #: any observer is attached (``pre_step_hook``, retire hooks, a
+        #: polled timer), so telemetry and fault injection always see the
+        #: ordinary per-instruction stream.
+        self._jit_enabled = trace_jit
         self._blocks: dict = {}
         self.block_stats = BlockCacheStats()
         self._code_watch = None
-        #: Trace-JIT tier (:mod:`repro.isa.tracejit`): blocks that
-        #: execute fused ``jit_threshold`` times are compiled into
-        #: specialised Python functions.  Rides on the block cache, so
-        #: it inherits its deopt predicate and dirty-range invalidation.
-        self._jit_enabled = trace_jit and self._block_cache_enabled
-        self._jit_threshold = jit_threshold
         self.jit_stats = TraceJITStats()
         #: Completed iterations a faulting trace-loop recorded before it
         #: re-raised (the generated ``except`` block writes it), so the
@@ -210,7 +194,7 @@ class CPU:
         #: The most recent trap taken through the vector (diagnostics).
         self.last_trap: Optional[Trap] = None
         #: Optional :class:`repro.isa.timer.ClintTimer` polled per step
-        #: (property: installing one deoptimizes the fused loop).
+        #: (property: installing one deoptimizes the block loop).
         self._timer = None
         #: Optional hook called with the CPU before each instruction is
         #: fetched (both execution modes).  Fault-injection campaigns use
@@ -229,7 +213,7 @@ class CPU:
     # Observer attachment and the cached deopt predicate
     # ------------------------------------------------------------------
     #
-    # The run loop's fused-dispatch eligibility ("no observer attached,
+    # The run loop's block-loop eligibility ("no observer attached,
     # timing model batchable") is a single cached flag instead of a
     # five-clause predicate re-evaluated every dispatch.  Every site
     # that can change eligibility — the ``timing``/``timer``/
@@ -241,7 +225,7 @@ class CPU:
     def _update_fast_path(self) -> None:
         timing = self._timing
         self._fast_loop_ok = (
-            self._block_cache_enabled
+            self._jit_enabled
             and self._decoded is not None
             and self._timer is None
             and self._pre_step_hook is None
@@ -346,9 +330,9 @@ class CPU:
             if pcc is None:
                 raise ValueError("CHERIoT mode requires a PCC")
             self.pcc = pcc.set_address(self.pc)
-        self._decoded = _decode_program(program) if self._predecode else None
+        self._decoded = _decode_program(program)
         self._blocks.clear()
-        if self._block_cache_enabled and self._decoded:
+        if self._jit_enabled and self._decoded:
             lo, hi = code_base, code_base + 4 * len(program.instructions)
             if self._code_watch is None:
                 self._code_watch = self.bus.watch_dirty(
@@ -367,15 +351,14 @@ class CPU:
     def run(self, max_steps: int = 10_000_000) -> ExecStats:
         """Execute until ``halt`` or the step budget is exhausted.
 
-        With the superblock cache enabled and no observer attached
-        (``pre_step_hook``, retire hooks, polled timer), straight-line
-        runs execute as fused blocks — one dispatch, batch-charged
-        stats and cycles, architecturally identical to single-stepping —
-        and hot blocks are further promoted to compiled trace-JIT code.
-        Eligibility is the cached ``_fast_loop_ok`` flag, recomputed by
-        every observer install/remove site, so a hook installed mid-run
-        (say, by an ``ecall`` handler) deoptimizes from the very next
-        iteration without the loop re-evaluating the full predicate.
+        With the trace-JIT enabled and no observer attached
+        (``pre_step_hook``, retire hooks, polled timer), the run loop
+        enters the block loop (:meth:`_block_step`), which runs hot
+        blocks as compiled code.  Eligibility is the cached
+        ``_fast_loop_ok`` flag, recomputed by every observer
+        install/remove site, so a hook installed mid-run (say, by an
+        ``ecall`` handler) deoptimizes from the very next iteration
+        without the loop re-evaluating the full predicate.
         """
         remaining = max_steps
         while remaining > 0:
@@ -385,10 +368,7 @@ class CPU:
                 else:
                     if self._timer is not None:
                         self._timer.tick(self)
-                    if self._decoded is not None:
-                        self._step_fast()
-                    else:
-                        self._step_interp()
+                    self._step_fast()
                     remaining -= 1
             except Halted:
                 self._halted = True
@@ -399,22 +379,8 @@ class CPU:
         )
 
     # ------------------------------------------------------------------
-    # Single step
+    # Single step: the interpreter
     # ------------------------------------------------------------------
-
-    def _fetch(self) -> Instruction:
-        if self.program is None:
-            raise RuntimeError("no program loaded")
-        index = (self.pc - self.code_base) // 4
-        if self.pc % 4 or not 0 <= index < len(self.program.instructions):
-            raise Trap(TrapCause.CHERI_BOUNDS, self.pc, "pc outside program")
-        if self.mode is ExecutionMode.CHERIOT:
-            try:
-                self.pcc = self.pcc.set_address(self.pc)
-                self.pcc.check_access(self.pc, 4, (Permission.EX,))
-            except CapabilityError as fault:
-                raise trap_from_capability_fault(fault, self.pc) from fault
-        return self.program.instructions[index]
 
     def step(self) -> None:
         """Fetch, execute and retire one instruction.
@@ -424,15 +390,13 @@ class CPU:
         one is installed; otherwise the :class:`Trap` propagates to the
         caller (convenient for tests and bare-metal benchmarks).
         """
-        if self._decoded is not None:
-            self._step_fast()
-        else:
-            self._step_interp()
+        self._step_fast()
 
     def _step_fast(self) -> None:
-        """Pre-decoded step: handler and operand metadata come from the
+        """The interpreter: handler and operand metadata come from the
         table built at load time; the PCC check is two comparisons while
-        the PC stays inside the cached executable window."""
+        the PC stays inside the cached executable window.  It is the
+        differential oracle for compiled code and its deopt target."""
         if self._pre_step_hook is not None:
             self._pre_step_hook(self)
         if (
@@ -444,9 +408,11 @@ class CPU:
             self.interrupt_pending = None
             self._vector(Trap(cause, self.pc))
             return
+        decoded = self._decoded
+        if decoded is None:
+            raise RuntimeError("no program loaded")
         pc = self.pc
         try:
-            decoded = self._decoded
             index = (pc - self.code_base) >> 2
             if pc & 3 or not 0 <= index < len(decoded):
                 raise Trap(TrapCause.CHERI_BOUNDS, pc, "pc outside program")
@@ -494,39 +460,31 @@ class CPU:
     # ------------------------------------------------------------------
 
     def _block_step(self, remaining: int) -> int:
-        """One run-loop entry into the translation cache.
+        """One run-loop entry into the block loop.
 
-        Executes fused blocks *chained* back-to-back — a taken branch
-        whose target starts another cached block dispatches it directly,
-        without returning to the run loop — and returns the total
-        step-budget units consumed, exactly what the same instructions
-        would have cost single-stepped (one per retired instruction,
-        one for a trap that vectors).  The chain returns to the run loop
-        (where the full eligibility check lives) whenever anything that
-        could change eligibility might have run: an ``ecall`` terminator
-        (its host handler can install hooks or reload the program), any
-        single-step fallback, or a trap delivery.  Falls back to
-        :meth:`_step_fast` for one instruction whenever the fused path
-        cannot be used (non-fusable start, PCC window miss, or a budget
-        too small for the whole block).
+        Executes superblocks (:mod:`repro.isa.blockcache`) *chained*
+        back-to-back — a taken branch whose target starts another cached
+        block dispatches it directly, without returning to the run loop
+        — and returns the total step-budget units consumed, exactly what
+        the same instructions would have cost single-stepped (one per
+        retired instruction, one for a trap that vectors).  The chain
+        returns to the run loop (where the full eligibility check lives)
+        whenever anything that could change eligibility might have run:
+        an ``ecall`` terminator (its host handler can install hooks or
+        reload the program), any single-step fallback, or a trap
+        delivery.
 
-        While a block runs, ``stats.cycles`` is streamed forward ahead
-        of every memory operation (the translation-time pre-flush in
-        each entry) so host code reachable from inside the block — MMIO
-        device reads like the CLINT's ``mtime``, store snoopers — sees
-        the exact cycle count single-stepping would have shown it; the
-        final ``charge_block`` adds only the unstreamed remainder.
-
-        Blocks that execute fused ``jit_threshold`` times are promoted
-        to the trace-JIT tier (:mod:`repro.isa.tracejit`): the compiled
-        function replaces the fused entry loop (and, for branch/jump
-        terminators, the terminator dispatch too).  A compiled function
-        that cannot handle its own terminator returns ``-1`` and the
-        interpreted terminator path below runs exactly as for a fused
-        block.  A fault inside compiled code re-raises with the
-        architectural state materialized at the faulting instruction,
-        and is delivered through the same :meth:`_block_fault`
-        prefix-replay path the fused loop uses.
+        A block runs as compiled trace-JIT code (:mod:`repro.isa.tracejit`)
+        once :func:`~repro.isa.tracejit.promote` has seen its source
+        execute ``JIT_THRESHOLD`` times; until then, or when the code
+        generator refuses it, the interpreter (:meth:`_step_fast`) steps
+        it.  A compiled function that cannot handle its own terminator
+        returns ``-1`` and the terminator dispatch below runs it.  A
+        fault inside compiled code re-raises with the architectural
+        state materialized at the faulting instruction, and is delivered
+        through the :meth:`_block_fault` prefix-replay path.  Blocks
+        whose start, budget or fetch window rule them out fall back to
+        one interpreted step.
         """
         consumed = 0
         blocks = self._blocks
@@ -534,11 +492,8 @@ class CPU:
         code_base = self.code_base
         cheriot = self.mode is ExecutionMode.CHERIOT
         timing = self._timing
-        tstats = timing.stats if timing is not None else None
         stats = self.stats
         block_stats = self.block_stats
-        jit_enabled = self._jit_enabled
-        jit_threshold = self._jit_threshold
         jstats = self.jit_stats
         while True:
             if (
@@ -575,30 +530,33 @@ class CPU:
                     )
                 )
             ):
-                block_stats.single_steps += 1
                 self._step_fast()
                 return consumed + 1
-            n = block.length
             jb = block.jit
-            if jb is None and jit_enabled and not block.jit_failed:
-                hits = block.hits + 1
-                block.hits = hits
-                if hits >= jit_threshold:
-                    jb = compile_block(self, block)
-                elif hits == 1:
-                    # First execution: adopt already-hot code for free.
-                    # The generated source is deterministic in (decoded
-                    # block, cost vector), so a code-cache hit means an
-                    # earlier CPU ran this exact block past the
-                    # threshold — no need to warm up again.
-                    jb = compile_block(self, block, cached_only=True)
-                elif not hits & (HEAT_CHECKPOINT - 1):
-                    # Below-threshold checkpoint: pool this block's
-                    # warmth with every earlier CPU instance that ran
-                    # the same code, so moderately-hot blocks still
-                    # compile across benchmark repetitions and fleets.
-                    jb = note_block_heat(self, block)
-            if jb is not None and jb.self_loop:
+            if jb is None and not block.jit_failed:
+                jb = promote(self, block)
+            if jb is None:
+                # Cold or uncompilable: the interpreter retires the block,
+                # leaving the chain as soon as the PC leaves its straight
+                # line (a trap or interrupt vectored).
+                retired = stats.instructions
+                ipc = pc
+                last_pc = block.last_pc
+                try:
+                    while True:
+                        self._step_fast()
+                        consumed += 1
+                        if ipc == last_pc:
+                            break
+                        ipc += 4
+                        if self.pc != ipc:
+                            return consumed
+                finally:
+                    block_stats.instructions += stats.instructions - retired
+                if block.term_bails or consumed >= remaining:
+                    return consumed
+                continue
+            if jb.self_loop:
                 # Trace-loop shape: the function iterates the block
                 # internally (entry loads and write-back per iteration)
                 # and returns ``(next_pc, iterations)``.  It stops at
@@ -634,69 +592,31 @@ class CPU:
                 if consumed >= remaining:
                     return consumed
                 continue
-            if jb is not None:
-                jstats.executions += 1
-                try:
-                    next_pc = jb.fn(self)
-                except (Trap, CapabilityError, PMPViolation) as fault:
-                    # The generated except block already reverted any
-                    # streamed cycles and wrote back the locals valid at
-                    # the faulting guard ordinal; ``cpu.pc`` points at
-                    # the faulting instruction.
-                    jstats.guard_bails += 1
-                    return consumed + self._block_fault(
-                        block, (self.pc - pc) >> 2, fault
-                    )
-                except BaseException:
-                    jstats.guard_bails += 1
-                    self._commit_block_prefix(block, (self.pc - pc) >> 2)
-                    raise
-                jstats.instructions += jb.consumed
-                if jb.handles_term:
-                    self.pc = next_pc
-                    consumed += jb.consumed
-                    if consumed >= remaining:
-                        return consumed
-                    continue
-                # Terminator stays interpreted: fall through to the
-                # shared terminator dispatch below (the compiled body
-                # has already retired and charged the straight line).
-            else:
-                block_stats.executions += 1
-                flushed = 0
-                try:
-                    for handler, operands, ipc, info, pre in block.entries:
-                        self.pc = ipc
-                        if pre:
-                            tstats.cycles += pre
-                            flushed += pre
-                        handler(self, operands, 0, info)
-                except (Trap, CapabilityError, PMPViolation) as fault:
-                    if flushed:
-                        tstats.cycles -= flushed
-                    return consumed + self._block_fault(
-                        block, (self.pc - pc) >> 2, fault
-                    )
-                except BaseException:
-                    # Non-architectural failure (bus MemoryError_, bugs):
-                    # commit the retired prefix so diagnostics match
-                    # single-stepping, then let it propagate.
-                    if flushed:
-                        tstats.cycles -= flushed
-                    self._commit_block_prefix(block, (self.pc - pc) >> 2)
-                    raise
-                # Straight-line run retired: batch-charge counts/cycles.
-                stats.instructions += n
-                block_stats.instructions += n
-                if timing is not None:
-                    timing.charge_block(block.charge, flushed)
-                term = block.term
-                if term is None:
-                    self.pc = pc + 4 * n
-                    consumed += n
-                    if consumed >= remaining:
-                        return consumed
-                    continue
+            jstats.executions += 1
+            try:
+                next_pc = jb.fn(self)
+            except (Trap, CapabilityError, PMPViolation) as fault:
+                # The generated except block already reverted any
+                # streamed cycles and wrote back the locals valid at
+                # the faulting guard ordinal; ``cpu.pc`` points at
+                # the faulting instruction.
+                jstats.guard_bails += 1
+                return consumed + self._block_fault(
+                    block, (self.pc - pc) >> 2, fault
+                )
+            except BaseException:
+                jstats.guard_bails += 1
+                self._commit_block_prefix(block, (self.pc - pc) >> 2)
+                raise
+            jstats.instructions += jb.consumed
+            if jb.handles_term:
+                self.pc = next_pc
+                consumed += jb.consumed
+                if consumed >= remaining:
+                    return consumed
+                continue
+            # The compiled body has retired and charged the straight
+            # line; the terminator runs interpreted.
             t_handler, t_operands, t_instr, t_info, t_pc = block.term
             self.pc = t_pc
             t_info.branch_taken = False
@@ -725,11 +645,11 @@ class CPU:
                 return consumed
 
     def _block_fault(self, block, k: int, fault) -> int:
-        """A fused instruction faulted after ``k`` retired cleanly.
+        """A compiled instruction faulted after ``k`` retired cleanly.
 
         Replays the retired prefix through the ordinary accounting path
         (``cpu.pc`` already points at the faulting instruction — the
-        fused loop keeps it current), then converts and delivers the
+        generated code keeps it current), then converts and delivers the
         fault exactly as :meth:`_step_fast` would have.
         """
         self._commit_block_prefix(block, k)
@@ -750,20 +670,21 @@ class CPU:
         raise trap
 
     def _commit_block_prefix(self, block, k: int) -> None:
-        """Charge the first ``k`` fused instructions individually.
+        """Charge the first ``k`` instructions of a faulting compiled
+        block individually.
 
-        Uses the block's static retire stream through the ordinary
+        Replays the block's static retire infos through the ordinary
         ``retire()`` path, so a partially executed block accounts
         bit-identically to ``k`` single steps.
         """
         if k <= 0:
             return
         self.stats.instructions += k
-        self.block_stats.instructions += k
+        self.jit_stats.instructions += k
         if self.timing is not None:
             retire = self.timing.retire
-            for instr, info in block.pairs[:k]:
-                retire(instr, info)
+            for _operands, _pc, info, _pre in block.entries[:k]:
+                retire(info.instr, info)
 
     def _on_code_dirty(self, address: int, size: int) -> None:
         """Dirty-range hook: a store landed inside the code region.
@@ -793,46 +714,6 @@ class CPU:
         if dead_jit:
             self.jit_stats.invalidations += dead_jit
 
-    def _step_interp(self) -> None:
-        """The seed's interpretive step: string-keyed dispatch and a full
-        PCC authorization per fetch.  Kept as the reference semantics for
-        the differential golden-trace tests (``predecode=False``)."""
-        if self._pre_step_hook is not None:
-            self._pre_step_hook(self)
-        if (
-            self.interrupt_pending is not None
-            and self.csr.interrupts_enabled
-            and self._trap_vector_installed()
-        ):
-            cause = self.interrupt_pending
-            self.interrupt_pending = None
-            self._vector(Trap(cause, self.pc))
-            return
-        try:
-            instr = self._fetch()
-            next_pc = self.pc + 4
-            info = _RetireInfo(instr, pc=self.pc)
-            try:
-                next_pc = self._execute(instr, next_pc, info)
-            except CapabilityError as fault:
-                self.stats.traps += 1
-                raise trap_from_capability_fault(fault, self.pc) from fault
-            except PMPViolation as fault:
-                self.stats.traps += 1
-                raise Trap(TrapCause.PMP_FAULT, self.pc, str(fault)) from fault
-        except Trap as trap:
-            if self._trap_vector_installed():
-                self._vector(trap)
-                return
-            raise
-        self.stats.instructions += 1
-        if self.timing is not None:
-            self.timing.retire(instr, info)
-        if self._retire_hooks is not None:
-            for hook in self._retire_hooks:
-                hook(instr, info)
-        self.pc = next_pc
-
     # ------------------------------------------------------------------
     # Trap vectoring
     # ------------------------------------------------------------------
@@ -860,14 +741,6 @@ class CPU:
     # ------------------------------------------------------------------
     # Semantics
     # ------------------------------------------------------------------
-
-    def _execute(self, instr: Instruction, next_pc: int, info: "_RetireInfo") -> int:
-        handler = _DISPATCH.get(instr.mnemonic)
-        if handler is None:
-            raise Trap(
-                TrapCause.ILLEGAL_INSTRUCTION, self.pc, f"no handler: {instr.mnemonic}"
-            )
-        return handler(self, instr.operands, next_pc, info)
 
     # --- helpers ---
 
@@ -1100,7 +973,7 @@ class _RetireInfo:
     """Per-instruction facts handed to the timing model.
 
     ``dest_reg`` and ``source_regs`` are normally supplied from the
-    pre-decoded table; when constructed bare (tests, interpretive mode)
+    decoded table; when constructed bare (timing-model tests)
     they are derived from the instruction's operand signature.
     """
 

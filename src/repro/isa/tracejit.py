@@ -1,13 +1,11 @@
 """Trace-JIT tier: compile hot superblocks into specialised Python code.
 
-The superblock cache (:mod:`repro.isa.blockcache`) removed per-step
-fetch/budget overhead, but each cached block still *interprets* one
-pre-decoded handler at a time: a Python call per instruction, operand
-tuple unpacking, and two or three :class:`~repro.isa.registers.RegisterFile`
-method calls for every ALU op.  This module is the third execution tier:
-once a block has executed ``jit_threshold`` times (the executor's
-per-block counter), it is compiled — via ``exec`` over generated source
-— into one specialised Python function in which
+The executor has two tiers: the interpreter (``CPU._step_fast``), one
+pre-decoded handler call per instruction, and this module's compiled
+code.  Once a block's generated source has executed
+:data:`JIT_THRESHOLD` times (counted by :func:`promote` across CPUs), it
+is compiled — via ``exec`` over generated source — into one specialised
+Python function in which
 
 * register indices and immediates are constant-folded into the source,
 * register values live in Python locals across the whole block (one
@@ -18,23 +16,23 @@ per-block counter), it is compiled — via ``exec`` over generated source
   falling back to ``check_access`` for the architecturally-ordered
   fault),
 * the :class:`~repro.pipeline.BlockCharge` batch cycle charge is one
-  inlined ``charge_block`` call, with the same pre-memory-op cycle
-  streaming the fused interpreter does (so MMIO reads mid-block still
+  inlined ``charge_block`` call, with cycles streamed into the timing
+  stats ahead of every memory operation (so MMIO reads mid-block
   observe single-step-exact cycle counts), and
 * simple terminators (conditional branches, ``j``, link-less ``jal``)
   are compiled into the same function, so a hot loop body plus its
   back-edge becomes a single closure and chained compiled blocks
   dispatch back-to-back from the executor's block loop.
 
-Correctness contract — identical to the block cache's: *observational
-equivalence with single-stepping*.  Three mechanisms enforce it:
+Correctness contract: *observational equivalence with the interpreter*.
+Three mechanisms enforce it:
 
-1. **Same deopt predicate.**  Compiled code only runs from the fused
-   block loop, which the executor refuses entirely whenever an observer
-   is attached (``pre_step_hook``, retire hooks, a polled timer, a
-   non-batchable timing model).  Telemetry and fault campaigns keep
-   seeing the unchanged per-instruction stream.
-2. **Same invalidation.**  Compiled functions hang off their
+1. **Deopt predicate.**  Compiled code only runs from the block loop,
+   which the executor refuses entirely whenever an observer is attached
+   (``pre_step_hook``, retire hooks, a polled timer, a non-batchable
+   timing model).  Telemetry and fault campaigns keep seeing the
+   unchanged per-instruction stream.
+2. **Invalidation.**  Compiled functions hang off their
    :class:`~repro.isa.blockcache.Block`; the dirty-range hooks that drop
    a block on stores into its code range drop the compiled code with it.
 3. **Guard bail-out.**  Every faultable operation is preceded by a
@@ -42,15 +40,14 @@ equivalence with single-stepping*.  Three mechanisms enforce it:
    the architectural register state exactly as of the faulting
    instruction (write-back tables indexed by the guard ordinal ``_k``),
    reverts any streamed cycles, and re-raises — after which the executor
-   reuses PR 4's prefix-replay machinery (:meth:`CPU._block_fault`):
-   the retired prefix is re-accounted through the ordinary ``retire()``
-   path and the fault is delivered exactly like a single step's.
+   replays the retired prefix through the ordinary ``retire()`` path
+   (:meth:`CPU._block_fault`) and delivers the fault exactly like a
+   single step's.
 
 Anything the code generator does not support (capability instructions in
-RV32E mode, unknown sentry names) marks the block *uncompilable* and it
-simply stays on the fused-interpreter tier — which, in turn, falls back
-to exact single-stepping.  The tiers only ever remove overhead, never
-semantics.
+RV32E mode, unknown sentry names) marks the block *uncompilable*, and
+the interpreter steps it.  Compiled code only ever removes overhead,
+never semantics.
 """
 
 from __future__ import annotations
@@ -71,10 +68,10 @@ class TraceJITStats:
     #: invalidation or a timing-model swap).
     compiles: int = 0
     #: Compiled-block executions.  Each completed iteration of a
-    #: trace-loop counts once, so the number compares directly with
-    #: :class:`~repro.isa.blockcache.BlockCacheStats` ``executions``.
+    #: trace-loop counts once.
     executions: int = 0
-    #: Instructions retired through compiled dispatches.
+    #: Instructions retired through compiled dispatches (including the
+    #: retired prefix of a block whose compiled code faulted).
     instructions: int = 0
     #: Guard failures inside compiled code (capability fault, bounds
     #: miss, misalignment): state was materialized and the fault
@@ -82,7 +79,7 @@ class TraceJITStats:
     guard_bails: int = 0
     #: Compiled blocks dropped by stores into their code range.
     invalidations: int = 0
-    #: Blocks the code generator refused (stay on the fused tier).
+    #: Blocks the code generator refused (they stay interpreted).
     unsupported: int = 0
 
     def reset(self) -> None:
@@ -200,7 +197,7 @@ _CAP_GETTERS = {
 
 #: Mnemonics whose handlers call ``_require_cheriot`` — in RV32E mode
 #: they raise an illegal-instruction trap at execute time, so blocks
-#: containing them stay on the fused tier (which raises it exactly).
+#: containing them stay interpreted (which raises it exactly).
 _CHERIOT_ONLY = frozenset(
     ("clc", "csc", "cmove", "cgetaddr", "ccleartag", "csetaddr", "cincaddr",
      "cincaddrimm", "csetbounds", "csetboundsexact", "csetboundsimm",
@@ -578,7 +575,7 @@ class _BlockCompiler:
             sentry = _SENTRY_NAMES.get(str(name).lower())
             if sentry is None:
                 # The handler raises OTypeFault at execute time; keep
-                # that behaviour by leaving the block on the fused tier.
+                # that behaviour by leaving the block interpreted.
                 raise _Unsupported(f"csealentry {name!r}")
             self._guard_point(pc)
             self._write_effectful(
@@ -876,7 +873,7 @@ class _BlockCompiler:
 
     def _loop_exit_cond(self) -> str:
         """Back-edge exit test: return to the executor's dispatch loop
-        exactly when the fused chained dispatch would have stopped
+        exactly when the block loop's chained dispatch would have stopped
         chaining — step budget exhausted, a deliverable interrupt
         pending, or (for blocks whose stores could rewrite their own
         code range) the block invalidated out of the cache mid-loop.
@@ -931,7 +928,7 @@ class _BlockCompiler:
 
     def generate(self) -> Tuple[str, int, bool, bool]:
         block = self.block
-        instrs = [(e[3].instr, e[1]) for e in block.entries]
+        instrs = [(info.instr, ops) for ops, _pc, info, _pre in block.entries]
         entry = self._entry_reps(
             instrs + ([(block.term[2], block.term[1])] if block.term is not None
                       and block.term[2].mnemonic in _BRANCH_COND else [])
@@ -940,10 +937,8 @@ class _BlockCompiler:
 
         body: List[str] = []
         self.lines = body
-        pres = [e[4] for e in block.entries]
-        for j, e in enumerate(block.entries):
-            _handler, operands, pc, info, _pre = e
-            self._pre = pres[j] if self.timing is not None else None
+        for operands, pc, info, pre in block.entries:
+            self._pre = pre if self.timing is not None else None
             self._emit_instr(info.instr, operands, pc)
             self._pre = None
 
@@ -1071,54 +1066,50 @@ class _BlockCompiler:
 _CODE_CACHE: Dict[str, object] = {}
 _CODE_CACHE_MAX = 4096
 
-#: Cross-CPU hotness, keyed like the code cache by generated source.
-#: Per-block hit counters die with their CPU, so a block that runs a
+#: The promotion counter: executions per generated source, shared across
+#: CPUs.  Keyed by source rather than by block, so a block that runs a
 #: moderate number of times on *every* CPU instance (benchmark
-#: repetitions, fleet campaigns) would never cross the threshold on any
-#: single one.  The executor reports each multiple of
-#: :data:`HEAT_CHECKPOINT` fused executions here; once the accumulated
-#: total crosses the CPU's threshold the block compiles — and from then
-#: on every fresh CPU adopts it via the first-execution cache probe.
+#: repetitions, fleet campaigns, re-translation after invalidation)
+#: still becomes hot, and once hot it compiles on its first execution
+#: on any later CPU.  Clearing it (with :data:`_CODE_CACHE`) makes the
+#: next CPU start cold.
 _SOURCE_HEAT: Dict[str, int] = {}
 _SOURCE_HEAT_MAX = 16384
 
-#: Fused-execution granularity of cross-CPU heat accounting.
-HEAT_CHECKPOINT = 16
+#: Executions of a block's source before it compiles.
+JIT_THRESHOLD = 8
 
 
-def note_block_heat(cpu, block) -> Optional[CompiledBlock]:
-    """Accumulate cross-CPU hotness for ``block``; compile when hot.
+def promote(cpu, block) -> Optional[CompiledBlock]:
+    """Count one execution of ``block``; compile it once its source is
+    hot.  Returns the :class:`CompiledBlock`, or ``None`` while the block
+    stays interpreted (cold, or refused by the code generator).
 
-    Called by the executor each time a block's fused hit counter
-    reaches a multiple of :data:`HEAT_CHECKPOINT` (below the per-CPU
-    threshold).  Uses the source remembered by the first-execution
-    probe; blocks that never probed (JIT disabled at the time) simply
-    stay on the per-CPU counter.
+    The source is generated on the block's first execution and kept on
+    the block, so each later execution costs one dictionary update.
     """
-    src = block.jit_source
-    if src is None:
-        return None
+    gen = block.jit_source
+    if gen is None:
+        try:
+            gen = _BlockCompiler(cpu, block).generate()
+        except _Unsupported:
+            block.jit_failed = True
+            cpu.jit_stats.unsupported += 1
+            return None
+        block.jit_source = gen
+    src = gen[0]
+    heat = _SOURCE_HEAT.get(src, 0) + 1
     if len(_SOURCE_HEAT) >= _SOURCE_HEAT_MAX:
         _SOURCE_HEAT.clear()
-    heat = _SOURCE_HEAT.get(src, 0) + HEAT_CHECKPOINT
     _SOURCE_HEAT[src] = heat
-    if heat >= cpu._jit_threshold:
-        return compile_block(cpu, block)
-    return None
+    if heat < JIT_THRESHOLD:
+        return None
+    return compile_block(cpu, block)
 
 
-def compile_block(cpu, block, cached_only: bool = False) -> Optional[CompiledBlock]:
-    """Compile one hot block; returns the :class:`CompiledBlock` or
-    ``None`` (the block is marked uncompilable and stays fused).
-
-    With ``cached_only`` the block is compiled only when its generated
-    source is already in the shared code cache — the executor probes
-    this on a block's *first* execution, so a program image that was
-    already hot on any earlier CPU instance (benchmark repetitions,
-    fleet campaigns, re-translation after invalidation) skips the
-    warm-up counter entirely.  A miss returns ``None`` without marking
-    the block, and the ordinary threshold path still applies.
-    """
+def compile_block(cpu, block) -> CompiledBlock:
+    """Bind the source :func:`promote` generated for ``block`` into a
+    function and attach it to the block."""
     from repro.capability import (
         Capability,
         Permission,
@@ -1135,13 +1126,7 @@ def compile_block(cpu, block, cached_only: bool = False) -> Optional[CompiledBlo
     from .exceptions import Trap, TrapCause
     from .executor import _KIND_PERMS, _div_impl, _rem_impl
 
-    try:
-        comp = _BlockCompiler(cpu, block)
-        src, consumed, handles_term, self_loop = comp.generate()
-    except _Unsupported:
-        block.jit_failed = True
-        cpu.jit_stats.unsupported += 1
-        return None
+    src, consumed, handles_term, self_loop = block.jit_source
 
     glb = {
         "_null": Capability.null,
@@ -1172,12 +1157,6 @@ def compile_block(cpu, block, cached_only: bool = False) -> Optional[CompiledBlo
         glb["_TINFO"] = block.term[3]
     code = _CODE_CACHE.get(src)
     if code is None:
-        if cached_only and _SOURCE_HEAT.get(src, 0) < cpu._jit_threshold:
-            # Remember the source so heat checkpoints need not
-            # regenerate it; sources already hot across CPU instances
-            # compile right now instead of re-warming.
-            block.jit_source = src
-            return None
         if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
             _CODE_CACHE.clear()
         code = compile(src, f"<tracejit 0x{block.start_pc:08x}>", "exec")

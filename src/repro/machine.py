@@ -325,15 +325,13 @@ class System:
 
     def make_cpu(self, mode: ExecutionMode = ExecutionMode.CHERIOT,
                  pmp: Optional[PMPUnit] = None,
-                 block_cache: bool = True,
-                 trace_jit: bool = True,
-                 jit_threshold: int = 50) -> CPU:
+                 trace_jit: bool = True) -> CPU:
         """An ISA-level CPU sharing this system's bus and devices.
 
-        ``block_cache``/``trace_jit``/``jit_threshold`` select the
-        execution tier, exactly as on :class:`~repro.isa.CPU` — the
-        fleet device runner and the tier-differential recovery tests
-        pin or vary the tier through this seam.
+        ``trace_jit`` selects the execution tiers, exactly as on
+        :class:`~repro.isa.CPU` — the fleet device runner and the
+        tier-differential recovery tests pin or vary them through this
+        seam.
         """
         cpu = CPU(
             self.bus,
@@ -342,9 +340,7 @@ class System:
             pmp=pmp,
             timing=self.core_model,
             hwm_enabled=self.csr.hwm_enabled,
-            block_cache=block_cache,
             trace_jit=trace_jit,
-            jit_threshold=jit_threshold,
         )
         # Aggregate this hart's tier counters into the system registry.
         cpu.block_stats = self.block_cache_stats

@@ -207,7 +207,7 @@ class CoreModel:
             )
 
     # ------------------------------------------------------------------
-    # Superblock batch accounting (used by the executor's block cache)
+    # Superblock batch accounting (charged by trace-JIT compiled blocks)
     # ------------------------------------------------------------------
 
     def precompute_block(self, pairs) -> "BlockCharge":

@@ -159,9 +159,7 @@ def build_image(
     stack_size: int = 0x200,
     trusted_stack_at: int = 0x2000_9000,
     export_table_at: int = 0x2000_9800,
-    block_cache: bool = True,
     trace_jit: bool = True,
-    jit_threshold: int = 50,
 ) -> AsmSwitcherImage:
     """Assemble switcher + callee + caller into one bootable image.
 
@@ -176,13 +174,7 @@ def build_image(
 
     bus = SystemBus()
     bus.attach_sram(TaggedMemory(code_base, 0x1_0000))
-    cpu = CPU(
-        bus,
-        ExecutionMode.CHERIOT,
-        block_cache=block_cache,
-        trace_jit=trace_jit,
-        jit_threshold=jit_threshold,
-    )
+    cpu = CPU(bus, ExecutionMode.CHERIOT, trace_jit=trace_jit)
     cpu.load_program(program, code_base, pcc=roots.executable, entry="_start")
 
     # The switcher's entry sentry: disable interrupts, keep SR.

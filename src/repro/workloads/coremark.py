@@ -428,7 +428,6 @@ def run_coremark(
     iterations: int = 2,
     fixed_compiler: bool = False,
     optimize: bool = False,
-    block_cache: bool = True,
     trace_jit: bool = True,
 ) -> CoreMarkResult:
     """Run the workalike under one of Table 3's configurations.
@@ -436,10 +435,8 @@ def run_coremark(
     ``config`` is one of ``rv32e`` (integer pointers, no capabilities),
     ``cheriot`` (capabilities, load filter disabled), or
     ``cheriot+filter`` (capabilities with the load filter engaged).
-    ``block_cache=False`` forces pure single-stepping — the differential
-    tests use it to pin the fused executor to the reference semantics —
-    and ``trace_jit=False`` keeps the superblock cache but disables
-    compilation to specialised code (the middle tier alone).
+    ``trace_jit=False`` runs the interpreter alone — the differential
+    tests use it as the reference semantics for compiled code.
     """
     if config not in ("rv32e", "cheriot", "cheriot+filter"):
         raise ValueError(f"unknown config {config!r}")
@@ -460,7 +457,6 @@ def run_coremark(
         mode=ExecutionMode.CHERIOT if cheriot else ExecutionMode.RV32E,
         load_filter=load_filter,
         timing=core_model,
-        block_cache=block_cache,
         trace_jit=trace_jit,
     )
 

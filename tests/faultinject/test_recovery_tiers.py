@@ -1,10 +1,10 @@
-"""Recovery machinery is tier-blind: interpreter vs block cache vs JIT.
+"""Recovery machinery is tier-blind: interpreter vs trace-JIT.
 
 The fleet runs its devices with the trace-JIT enabled, so the recovery
 paths the paper's availability story depends on — compartment error
 handlers (UNWIND / RETRY / RESTART) and the executive's watchdog
 (kill / restart) — must behave *bit-identically* whether the faulting
-kernel ran interpreted, as fused superblocks, or as compiled traces.
+kernel ran interpreted or as compiled traces.
 A fault raised from inside compiled code (a trace-JIT guard bail)
 must surface through the switcher exactly like one raised by the
 interpreter: same outcome, same stats, same registers, same simulated
@@ -35,8 +35,8 @@ from repro.rtos import (
 from repro.rtos.executive import Executive, Watchdog
 from repro.rtos.thread import ThreadState
 
-#: The three execution tiers the same kernel must traverse identically.
-TIERS = ("interp", "fused", "jit")
+#: The two execution tiers the same kernel must traverse identically.
+TIERS = ("interp", "jit")
 
 #: Offsets inside the code region, clear of anything the loader places.
 _CODE_OFFSET = 0x2_0000
@@ -106,16 +106,9 @@ class _Stack:
 
     def make_cpu(self, tier):
         """A CPU at one execution tier, charging the shared core model."""
-        if tier == "interp":
-            kwargs = dict(block_cache=False, trace_jit=False)
-        elif tier == "fused":
-            kwargs = dict(block_cache=True, trace_jit=False)
-        elif tier == "jit":
-            kwargs = dict(block_cache=True, trace_jit=True, jit_threshold=2)
-        else:  # pragma: no cover - typo guard
-            raise ValueError(tier)
         return CPU(
-            self.bus, ExecutionMode.CHERIOT, timing=self.core, **kwargs
+            self.bus, ExecutionMode.CHERIOT, timing=self.core,
+            trace_jit=tier == "jit",
         )
 
     def load_kernel(self, cpu, source, buf_reg=8, buf_size=_BUF_SIZE):

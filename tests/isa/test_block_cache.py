@@ -1,24 +1,25 @@
-"""Differential tests: the tiered executors vs single-stepping.
+"""Differential tests: the trace-JIT tier vs the interpreter.
 
-The superblock translation cache (:mod:`repro.isa.blockcache`) fuses
-straight-line runs of pre-decoded instructions into one dispatch and
-batch-charges their cycle costs; the trace-JIT tier
-(:mod:`repro.isa.tracejit`) compiles hot blocks into specialised Python
-functions on top of it.  The correctness contract of both is strict
-*observational equivalence*: with any tier enabled, every architectural
+The executor has two tiers: the interpreter (``trace_jit=False``, the
+reference semantics) and the block loop, which runs hot superblocks
+(:mod:`repro.isa.blockcache`) as compiled trace-JIT code
+(:mod:`repro.isa.tracejit`) and interprets cold ones.  The correctness
+contract is strict *observational equivalence*: every architectural
 outcome — golden traces, register files, retired-instruction stats, bus
 counters, modelled cycles, trap causes and messages, even the cycle
-count an MMIO device reads mid-run — must be bit-identical to pure
-single-stepping.  These tests pin that contract across the CoreMark
+count an MMIO device reads mid-run — must be bit-identical to the
+interpreter.  These tests pin that contract across the CoreMark
 workalike (both cores, all configs), the assembly compartment switcher
 (the machinery the allocation benchmark models), a seeded
-fault-injection campaign slice, and randomized programs; plus the
-cache-management machinery itself (invalidation on code-region stores,
-chained-block invalidation under self-modifying code, deoptimization
-under observers, exact step budgets).
+fault-injection campaign slice, and randomized looping programs; plus
+the cache-management machinery itself (invalidation on code-region
+stores, chained-block invalidation under self-modifying code,
+deoptimization under observers, exact step budgets).
 
-Every differential runs the full tier matrix in :data:`TIER_CONFIGS` —
-interpreter, block cache only, block cache + trace-JIT.
+Every differential runs both tiers in :data:`TIER_CONFIGS`.  Classes
+marked with the ``early_jit`` fixture compile every block on its first
+execution, so hand-written programs reach compiled code; the randomized
+differential keeps the real promotion threshold.
 """
 
 from dataclasses import fields
@@ -28,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.capability import make_roots
-from repro.isa import CPU, ExecutionMode, Halted, Trap, assemble
+from repro.isa import CPU, ExecutionMode, Trap, TrapCause, assemble, tracejit
 from repro.isa.timer import ClintTimer
 from repro.isa.trace import ExecutionTrace
 from repro.memory import SystemBus, TaggedMemory
@@ -39,27 +40,26 @@ DATA_BASE = 0x2000_8000
 DATA_SIZE = 0x100
 
 
-#: The three execution tiers, as CPU kwargs.  ``jit_threshold=2`` makes
-#: the trace-JIT engage within test-sized iteration counts (the default
-#: 50 would leave most of these programs on the fused tier).
+#: The two execution tiers, as CPU kwargs (interpreter first).
 TIER_CONFIGS = (
-    ("interp", dict(block_cache=False)),
-    ("block", dict(block_cache=True, trace_jit=False)),
-    ("jit", dict(block_cache=True, trace_jit=True, jit_threshold=2)),
+    ("interp", dict(trace_jit=False)),
+    ("jit", dict(trace_jit=True)),
 )
 
 
-def _fresh_cpu(block_cache=True, predecode=True, **tier_kwargs):
+@pytest.fixture(scope="class")
+def early_jit():
+    """Compile every block on its first execution."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tracejit, "JIT_THRESHOLD", 1)
+        yield
+
+
+def _fresh_cpu(**tier_kwargs):
     bus = SystemBus()
     bus.attach_sram(TaggedMemory(CODE_BASE, 0x1_0000))
     roots = make_roots()
-    cpu = CPU(
-        bus,
-        ExecutionMode.CHERIOT,
-        predecode=predecode,
-        block_cache=block_cache,
-        **tier_kwargs,
-    )
+    cpu = CPU(bus, ExecutionMode.CHERIOT, **tier_kwargs)
     cpu.timing = make_core_model(CoreKind.IBEX)
     return cpu, roots
 
@@ -82,7 +82,7 @@ def _state(cpu):
 
 
 def _run_all(source, max_steps=100_000):
-    """Run one program under every tier; return (states, cpus), in
+    """Run one program under both tiers; return (states, cpus), in
     :data:`TIER_CONFIGS` order (interpreter first)."""
     program = assemble(source)
     states, cpus = [], []
@@ -95,6 +95,7 @@ def _run_all(source, max_steps=100_000):
     return states, cpus
 
 
+@pytest.mark.usefixtures("early_jit")
 class TestStraightLineEquivalence:
     def test_mem_loop_bit_identical(self):
         source = """
@@ -110,12 +111,9 @@ class TestStraightLineEquivalence:
         """
         states, cpus = _run_all(source)
         assert states[1] == states[0]
-        assert states[2] == states[0]
-        # Each tier actually ran (this is not a vacuous pass).
-        assert cpus[1].block_stats.executions > 0
-        assert cpus[1].block_stats.instructions > 0
-        assert cpus[2].jit_stats.compiles > 0
-        assert cpus[2].jit_stats.executions > 0
+        # The compiled tier actually ran (this is not a vacuous pass).
+        assert cpus[1].jit_stats.compiles > 0
+        assert cpus[1].jit_stats.executions > 0
 
     def test_cap_ops_and_cap_memory_bit_identical(self):
         source = """
@@ -132,9 +130,7 @@ class TestStraightLineEquivalence:
         """
         states, cpus = _run_all(source)
         assert states[1] == states[0]
-        assert states[2] == states[0]
-        assert cpus[1].block_stats.executions > 0
-        assert cpus[2].jit_stats.executions > 0
+        assert cpus[1].jit_stats.executions > 0
 
     def test_load_use_hazard_window_identical(self):
         # Back-to-back load/consume pairs at the block entry, interior,
@@ -152,7 +148,6 @@ class TestStraightLineEquivalence:
         """
         states, _ = _run_all(source)
         assert states[1] == states[0]
-        assert states[2] == states[0]
 
     def test_division_and_multiply_costs_identical(self):
         source = """
@@ -168,13 +163,13 @@ class TestStraightLineEquivalence:
         """
         states, _ = _run_all(source)
         assert states[1] == states[0]
-        assert states[2] == states[0]
 
 
+@pytest.mark.usefixtures("early_jit")
 class TestFaultEquivalence:
     def test_unvectored_mid_block_fault_identical(self):
-        # The lw faults (out of s0's bounds) in the middle of a fused
-        # run; the prefix must be accounted exactly and the Trap must
+        # The lw faults (out of s0's bounds) in the middle of a compiled
+        # block; the prefix must be accounted exactly and the Trap must
         # carry the same cause, pc and message.
         source = """
             li a0, 1
@@ -195,7 +190,6 @@ class TestFaultEquivalence:
                 (trap.cause, trap.pc, str(trap), _state(cpu))
             )
         assert outcomes[1] == outcomes[0]
-        assert outcomes[2] == outcomes[0]
 
     def test_vectored_mid_block_fault_identical(self):
         source = """
@@ -218,10 +212,44 @@ class TestFaultEquivalence:
             cpu.run()
             states.append(_state(cpu))
         assert states[1] == states[0]
-        assert states[2] == states[0]
         regs = states[1][0]
         assert regs[13].address == 7  # the handler ran
         assert regs[10].address == 42  # pre-fault value preserved
+
+    def _trap_outcomes(self, program):
+        outcomes = []
+        for _name, cfg in TIER_CONFIGS:
+            cpu, roots = _fresh_cpu(**cfg)
+            _load(cpu, roots, program)
+            with pytest.raises(Trap) as excinfo:
+                cpu.run()
+            trap = excinfo.value
+            outcomes.append((trap.cause, trap.pc, str(trap), _state(cpu)))
+        assert outcomes[1] == outcomes[0]
+        return outcomes[0]
+
+    def test_illegal_mnemonic_traps_identically(self):
+        # An instruction without semantics traps when it executes, here
+        # as the interpreted terminator of a compiled block.
+        from repro.isa.assembler import Program
+        from repro.isa.instructions import Instruction
+
+        program = Program(
+            instructions=(
+                Instruction("addi", (10, 0, 5), text="addi a0, zero, 5"),
+                Instruction("frobnicate", (), text="frobnicate"),
+            ),
+            labels={},
+        )
+        cause, pc, message, _ = self._trap_outcomes(program)
+        assert cause is TrapCause.ILLEGAL_INSTRUCTION
+        assert pc == CODE_BASE + 4
+        assert "frobnicate" in message
+
+    def test_running_off_the_end_identical(self):
+        cause, pc, _, _ = self._trap_outcomes(assemble("li a0, 5\nnop\n"))
+        assert cause is TrapCause.CHERI_BOUNDS
+        assert pc == CODE_BASE + 8
 
     def test_step_budget_boundary_identical(self):
         source = """
@@ -232,7 +260,7 @@ class TestFaultEquivalence:
             halt
         """
         program = assemble(source)
-        cpu, roots = _fresh_cpu(block_cache=False)
+        cpu, roots = _fresh_cpu(trace_jit=False)
         _load(cpu, roots, program)
         cpu.run()
         retired = cpu.stats.instructions
@@ -251,14 +279,14 @@ class TestFaultEquivalence:
                 except RuntimeError as exc:
                     outcomes.append(("exceeded", str(exc), _state(cpu)))
             assert outcomes[1] == outcomes[0]
-            assert outcomes[2] == outcomes[0]
             assert (outcomes[0][0] == "halted") is expect_halt
 
 
+@pytest.mark.usefixtures("early_jit")
 class TestDeoptimization:
     def test_retire_hooks_force_single_stepping(self):
         # An attached trace (retire hook) must see the identical
-        # per-instruction stream — the fused path never engages.
+        # per-instruction stream — the block loop never engages.
         source = """
             li a0, 20
         loop:
@@ -277,35 +305,37 @@ class TestDeoptimization:
             cpu.run()
             traces.append(trace.entries)
             states.append(_state(cpu))
-            assert cpu.block_stats.executions == 0
+            assert cpu.block_stats.translations == 0
             assert cpu.jit_stats.executions == 0
         assert traces[1] == traces[0]
-        assert traces[2] == traces[0]
         assert states[1] == states[0]
-        assert states[2] == states[0]
 
     def test_pre_step_hook_forces_single_stepping(self):
         source = "li a0, 5\nloop:\naddi a0, a0, -1\nbnez a0, loop\nhalt\n"
         program = assemble(source)
-        cpu, roots = _fresh_cpu(block_cache=True)
+        cpu, roots = _fresh_cpu()
         _load(cpu, roots, program)
         seen = []
         cpu.pre_step_hook = lambda c: seen.append(c.pc)
         cpu.run()
-        assert cpu.block_stats.executions == 0
+        assert cpu.block_stats.translations == 0
+        assert cpu.jit_stats.executions == 0
         # The hook saw every step, in order.
         assert len(seen) == cpu.stats.instructions
 
     def test_block_cache_disabled_never_fuses(self):
+        # ``trace_jit=False`` is the interpreter alone: no block is ever
+        # translated, let alone compiled.
         source = "li a0, 5\nloop:\naddi a0, a0, -1\nbnez a0, loop\nhalt\n"
         program = assemble(source)
-        cpu, roots = _fresh_cpu(block_cache=False)
+        cpu, roots = _fresh_cpu(trace_jit=False)
         _load(cpu, roots, program)
         cpu.run()
-        assert cpu.block_stats.executions == 0
         assert cpu.block_stats.translations == 0
+        assert cpu.jit_stats.compiles == 0
 
 
+@pytest.mark.usefixtures("early_jit")
 class TestInvalidation:
     SOURCE = """
         li t0, 3
@@ -317,11 +347,11 @@ class TestInvalidation:
 
     def test_store_into_code_region_invalidates_and_retranslates(self):
         program = assemble(self.SOURCE)
-        cpu, roots = _fresh_cpu(block_cache=True)
+        cpu, roots = _fresh_cpu()
         _load(cpu, roots, program)
         cpu.run()
-        assert cpu.block_stats.executions > 0
         translations_before = cpu.block_stats.translations
+        assert translations_before > 0
         assert cpu.block_stats.invalidations == 0
 
         # A write into the cached code range must drop the overlapping
@@ -364,9 +394,7 @@ class TestInvalidation:
             states.append(_state(cpu))
             counters.append(cpu.block_stats.invalidations)
         assert states[1] == states[0]
-        assert states[2] == states[0]
-        assert counters[1] >= 1  # the cached runs saw the dirty store
-        assert counters[2] >= 1
+        assert counters[1] >= 1  # the block loop saw the dirty store
 
     def test_store_outside_code_region_does_not_invalidate(self):
         source = """
@@ -378,25 +406,25 @@ class TestInvalidation:
             halt
         """
         program = assemble(source)
-        cpu, roots = _fresh_cpu(block_cache=True)
+        cpu, roots = _fresh_cpu()
         _load(cpu, roots, program)
         cpu.run()
-        assert cpu.block_stats.executions > 0
+        assert cpu.block_stats.translations > 0
         assert cpu.block_stats.invalidations == 0
 
 
+@pytest.mark.usefixtures("early_jit")
 class TestSuccessorBlockInvalidation:
     """Self-modifying code rewriting a *successor* block while its
     predecessor's compiled trace is mid-execution.
 
-    The predecessor is a hot self-loop (a compiled trace at
-    ``jit_threshold=2``) whose body stores into the code range of the
+    The predecessor is a hot self-loop (a compiled trace) whose body stores into the code range of the
     block that executes after the loop exits.  The dirty-range hooks
     must drop the successor's translation (and compiled code) on every
     such store — while the predecessor keeps looping — and the
     architectural outcome must stay bit-identical to single-stepping.
     The decoded program image is fixed at load time (the simulator's
-    predecode contract), so the observable effects are the bus/stat
+    decode-once contract), so the observable effects are the bus/stat
     stream and the invalidation counters, not new instruction bytes.
     """
 
@@ -408,8 +436,7 @@ class TestSuccessorBlockInvalidation:
     )
     def test_trace_loop_rewrites_successor(self, loops, victim_word, value):
         # Two rounds: round 1 executes (and caches) the successor block
-        # at label succ, and heats loop1 past the JIT threshold; in
-        # round 2 the compiled trace's store drops succ's translation
+        # at label succ, and compiles loop1; in round 2 the compiled trace's store drops succ's translation
         # mid-loop.  The store hits the victim word inside succ.
         source = f"""
             li a5, 2
@@ -446,10 +473,8 @@ class TestSuccessorBlockInvalidation:
                 (cpu.block_stats.invalidations, cpu.jit_stats.invalidations)
             )
         assert states[1] == states[0]
-        assert states[2] == states[0]
-        # Both cached tiers saw the successor's range go dirty.
+        # The block loop saw the successor's range go dirty.
         assert counters[1][0] >= 1
-        assert counters[2][0] >= 1
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -489,15 +514,14 @@ class TestSuccessorBlockInvalidation:
             states.append(_state(cpu))
             counters.append(cpu.block_stats.invalidations)
         assert states[1] == states[0]
-        assert states[2] == states[0]
         # Every store dropped the successor: one invalidation per round.
         assert counters[1] >= loops - 1
-        assert counters[2] >= loops - 1
 
 
+@pytest.mark.usefixtures("early_jit")
 class TestMMIOCycleExactness:
     def test_mtime_reads_mid_block_identical(self):
-        # A fused block that loads the CLINT's mtime must observe the
+        # A compiled block that loads the CLINT's mtime must observe the
         # same cycle counts single-stepping would: the executor streams
         # cycle charges ahead of every memory operation.
         source = """
@@ -532,11 +556,9 @@ class TestMMIOCycleExactness:
                 )
             )
             if name != "interp":
-                assert cpu.block_stats.executions > 0
+                assert cpu.jit_stats.executions > 0
         assert sums[1] == sums[0]
-        assert sums[2] == sums[0]
         assert states[1] == states[0]
-        assert states[2] == states[0]
         assert sums[0] > 0  # mtime actually advanced during the run
 
 
@@ -548,15 +570,13 @@ class TestWorkloadEquivalence:
     def test_coremark_bit_identical(self, core, config):
         from repro.workloads.coremark import run_coremark
 
-        ref = run_coremark(core, config, iterations=1, block_cache=False)
-        mid = run_coremark(core, config, iterations=1, trace_jit=False)
+        ref = run_coremark(core, config, iterations=1, trace_jit=False)
         new = run_coremark(core, config, iterations=1)
-        for result in (mid, new):
-            assert (result.cycles, result.instructions, result.crc) == (
-                ref.cycles,
-                ref.instructions,
-                ref.crc,
-            )
+        assert (new.cycles, new.instructions, new.crc) == (
+            ref.cycles,
+            ref.instructions,
+            ref.crc,
+        )
 
     def test_asm_switcher_bit_identical(self):
         # The assembly compartment switcher: sentries, trusted-stack
@@ -572,15 +592,14 @@ class TestWorkloadEquivalence:
             image.cpu.run()
             states.append(_state_no_timing(image.cpu))
         assert states[1] == states[0]
-        assert states[2] == states[0]
         assert states[1][1][0] > 50  # the full call/return path ran
         assert states[1][0][10].address == 42  # callee's result in a0
 
     def test_fault_campaign_slice_bit_identical(self, monkeypatch):
         # 1000 seeded injections: every scenario, outcome, detail and
-        # wrong-result flag must match across all three tiers.
-        # (Injection hooks deoptimize per-step; hook-free phases run
-        # fused/compiled.)
+        # wrong-result flag must match across both tiers.  (Injection
+        # hooks deoptimize per-step; hook-free phases run in the block
+        # loop.)
         from repro.faultinject import engine as engine_mod
         from repro.faultinject.campaign import run_campaign
 
@@ -596,7 +615,6 @@ class TestWorkloadEquivalence:
             monkeypatch.setattr(engine_mod, "CPU", tiered_cpu)
             records.append(run_campaign(1000).records)
         assert records[1] == records[0]
-        assert records[2] == records[0]
 
 
 def _state_no_timing(cpu):
@@ -608,27 +626,50 @@ def _state_no_timing(cpu):
 
 
 _REGS = ["t0", "t1", "t2", "s1", "a0", "a1", "a2", "a3"]
-_ALU_RR = ["add", "sub", "and", "or", "xor", "sll", "srl", "mul", "div"]
-_ALU_RI = ["addi", "andi", "ori", "xori", "slti"]
+_ALU_RR = ["add", "sub", "and", "or", "xor", "sll", "srl", "sra", "slt",
+           "sltu", "mul", "mulh", "mulhu", "div", "divu", "rem", "remu"]
+_ALU_RI = ["addi", "andi", "ori", "xori", "slti", "sltiu", "slli", "srli",
+           "srai"]
+_BRANCHES = ["beq", "bne", "blt", "bge", "bltu", "bgeu"]
+_MEM = ["lw", "sw", "lh", "lhu", "sh", "lb", "lbu", "sb"]
+_MEM_SCALE = {"lw": 4, "sw": 4, "lh": 2, "lhu": 2, "sh": 2}
 
 regs = st.sampled_from(_REGS)
 imms = st.integers(min_value=-2048, max_value=2047)
-mem_offsets = st.sampled_from([0, 4, 8, 64, DATA_SIZE - 4, DATA_SIZE])
+#: Register values, with the sign and carry boundaries drawn often.
+words = st.one_of(
+    st.integers(min_value=0, max_value=0xFFFFFFFF),
+    st.sampled_from([0x80000000, 0xFFFFFFFF, 0x7FFFFFFF, 0xFFFF8000, 1]),
+)
+# Offsets deliberately straddle the data capability's bounds so some
+# accesses fault — fault behaviour must match too.
+mem_offsets = st.sampled_from([0, 4, 8, 64, DATA_SIZE - 4, DATA_SIZE, 0x7FC])
 
 
 #: Capability derivations (the bounds the trace-JIT constant-folds).
 _CAP_RR = ["cincaddr", "csetaddr", "csetbounds", "csetboundsexact", "candperm"]
 _CAP_RI = ["cincaddrimm", "csetboundsimm"]
-_CAP_GET = ["cgetbase", "cgetlen"]
+_CAP_GET = ["cgetaddr", "cgetbase", "cgettop", "cgetlen", "cgetperm",
+            "cgettag", "cgettype"]
+_SENTRIES = ["inherit", "disable", "enable", "ret_dis", "ret_en"]
 cap_imms = st.sampled_from([-8, 0, 4, 8, 16, 64, DATA_SIZE])
+
+#: Registers outside ``_REGS``, so generated code never clobbers them:
+#: the loop counter, the sealing authority (otype ``_OTYPE``), an
+#: executable capability for ``csealentry``, and the trap handler's
+#: scratch register.
+_COUNTER, _SEALER, _CODE_CAP, _SCRATCH = "a4", "gp", "tp", "a5"
+_OTYPE = 6
+#: Placeholder branch target, resolved by ``mixed_program``.
+_SKIP = "skip"
 
 
 @st.composite
 def body_line(draw, derived=()):
-    """One instruction.  Capability operands come mostly from ``s0`` (the
-    data capability), otherwise from ``derived``: registers an earlier
-    capability op wrote."""
-    kind = draw(st.integers(min_value=0, max_value=7))
+    """One loop-body instruction.  Capability operands come mostly from
+    ``s0`` (the data capability), otherwise from ``derived``: registers
+    an earlier capability op wrote."""
+    kind = draw(st.integers(min_value=0, max_value=10))
     rd, rs, rt = draw(regs), draw(regs), draw(regs)
     cap = draw(st.sampled_from(("s0", "s0") + tuple(derived)))
     if kind == 0:
@@ -636,58 +677,110 @@ def body_line(draw, derived=()):
     if kind == 1:
         return f"{draw(st.sampled_from(_ALU_RI))} {rd}, {rs}, {draw(imms)}"
     if kind == 2:
-        op = draw(st.sampled_from(["lw", "sw", "lb", "sb"]))
-        scale = 4 if op in ("lw", "sw") else 1
+        return f"li {rd}, {draw(words)}"
+    if kind == 3:
+        op = draw(st.sampled_from(_MEM))
+        scale = _MEM_SCALE.get(op, 1)
         offset = draw(mem_offsets) // scale * scale
         return f"{op} {rd}, {offset}({cap})"
-    if kind == 3:
+    if kind == 4:
         op = draw(st.sampled_from(["clc", "csc"]))
         offset = draw(mem_offsets) // 8 * 8
         return f"{op} {rd}, {offset}({cap})"
-    if kind == 4:
-        return f"bne {rs}, {rt}, done"
     if kind == 5:
-        return f"{draw(st.sampled_from(_CAP_RR))} {rd}, {cap}, {rt}"
+        # Forward over the next line (``mixed_program`` places the
+        # label): taken or not, the branch stays inside the loop and
+        # skips at most one instruction.
+        return f"{draw(st.sampled_from(_BRANCHES))} {rs}, {rt}, {_SKIP}"
     if kind == 6:
+        return f"{draw(st.sampled_from(_CAP_RR))} {rd}, {cap}, {rt}"
+    if kind == 7:
         op = draw(st.sampled_from(_CAP_RI))
         return f"{op} {rd}, {cap}, {draw(cap_imms)}"
-    op = draw(st.sampled_from(_CAP_GET + ["cmove"]))
-    return f"{op} {rd}, {cap}"
+    if kind == 8:
+        op = draw(st.sampled_from(_CAP_GET + ["cmove"]))
+        return f"{op} {rd}, {cap}"
+    if kind == 9:
+        return f"{draw(st.sampled_from(['cseal', 'cunseal']))} {rd}, {cap}, {_SEALER}"
+    target = draw(st.sampled_from((_CODE_CAP, cap)))
+    return f"csealentry {rd}, {target}, {draw(st.sampled_from(_SENTRIES))}"
 
 
 #: Ops whose destination then holds a (possibly tagged) capability.
-_CAP_RESULTS = frozenset(_CAP_RR + _CAP_RI + ["cmove", "clc"])
+_CAP_RESULTS = frozenset(
+    _CAP_RR + _CAP_RI + ["cmove", "clc", "cseal", "cunseal", "csealentry"]
+)
+#: Ops that write no register.
+_NO_DEST = frozenset(["sw", "sh", "sb", "csc"] + _BRANCHES)
+
+#: Loop iterations of every randomized program: enough for the loop
+#: head to reach the promotion threshold and run compiled twice.
+_ITERATIONS = tracejit.JIT_THRESHOLD + 2
 
 
 @st.composite
 def mixed_program(draw):
+    """A counted loop around a random body, after random initial values
+    for ``_REGS``.  The head decrements the counter, so the block
+    starting there runs every iteration and the trace-JIT promotes it;
+    faults vector to a handler that skips the faulting instruction and
+    returns into the loop."""
     n = draw(st.integers(min_value=1, max_value=24))
-    lines, derived = [], []
-    for _ in range(n):
+    init = [f"li {reg}, {draw(words)}" for reg in _REGS]
+    lines, derived, pending = [], [], []
+    for i in range(n):
         line = draw(body_line(tuple(derived)))
-        lines.append(line)
         op, rd = line.split()[0], line.split()[1].rstrip(",")
+        if op in _BRANCHES:
+            line = line.replace(_SKIP, f"{_SKIP}{i}")
+        lines.append(line)
+        # Land earlier branches after this line.
+        lines.extend(f"{label}:" for label in pending)
+        pending = [f"{_SKIP}{i}"] if op in _BRANCHES else []
         if op in _CAP_RESULTS and rd not in derived:
             derived.append(rd)
-        elif op not in _CAP_RESULTS and op not in ("sw", "sb", "csc", "bne"):
+        elif op not in _CAP_RESULTS and op not in _NO_DEST:
             derived = [reg for reg in derived if reg != rd]
-    return "\n".join(lines) + "\ndone: halt\n"
+    lines.extend(f"{label}:" for label in pending)
+    return "\n".join(
+        init
+        + [f"li {_COUNTER}, {_ITERATIONS}", "loop:", f"addi {_COUNTER}, {_COUNTER}, -1"]
+        + lines
+        + [
+            "next:",
+            f"bnez {_COUNTER}, loop",
+            "halt",
+            "handler:",
+            f"cspecialrw {_SCRATCH}, mepcc, c0",
+            f"cincaddrimm {_SCRATCH}, {_SCRATCH}, 4",
+            f"cspecialrw c0, mepcc, {_SCRATCH}",
+            "mret",
+        ]
+    ) + "\n"
+
+
+def _load_mixed(cpu, roots, program):
+    _load(cpu, roots, program)
+    handler_pc = CODE_BASE + 4 * program.entry("handler")
+    cpu.regs.write_scr("mtcc", roots.executable.set_address(handler_pc))
+    cpu.regs.write(3, roots.sealing.set_address(_OTYPE))
+    cpu.regs.write(4, roots.executable.set_address(CODE_BASE))
 
 
 class TestRandomizedEquivalence:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(mixed_program())
     def test_run_outcome_identical(self, source):
-        # Unlike the predecode differential (which single-steps), this
-        # drives cpu.run() so fused blocks, mid-block faults and the
-        # fall-back paths all engage.
+        # Drives cpu.run() with the real promotion threshold, so cold
+        # interpreted blocks, their promotion, compiled blocks, guard
+        # bails and vectored faults all engage.
         program = assemble(source)
         outcomes = []
         for _name, cfg in TIER_CONFIGS:
             cpu, roots = _fresh_cpu(**cfg)
-            _load(cpu, roots, program)
+            _load_mixed(cpu, roots, program)
             try:
-                cpu.run(max_steps=500)
+                cpu.run(max_steps=_ITERATIONS * 200)
                 outcomes.append(("halted", _state(cpu)))
             except Trap as trap:
                 outcomes.append(
@@ -696,4 +789,7 @@ class TestRandomizedEquivalence:
             except RuntimeError as exc:
                 outcomes.append(("exceeded", str(exc), _state(cpu)))
         assert outcomes[1] == outcomes[0]
-        assert outcomes[2] == outcomes[0]
+        if outcomes[1][0] == "halted":
+            # The loop ran all its iterations, past the threshold: the
+            # differential reached compiled code.
+            assert cpu.jit_stats.instructions > 0

@@ -1,6 +1,6 @@
 """Tests for the execution trace recorder."""
 
-from repro.isa import CPU, ExecutionMode, ExecutionTrace, assemble
+from repro.isa import ExecutionTrace
 from repro.pipeline import CoreKind, make_core_model
 from .conftest import CODE_BASE, make_cpu
 
@@ -79,46 +79,3 @@ class TestTrace:
         assert histogram["bnez"] == 3
         rendered = trace.render(last=2)
         assert rendered.count("\n") == 1
-
-
-class TestTraceUnderPredecode:
-    """The trace recorder sees real Instruction objects and per-retire
-    info from the pre-decoded fast path, so its output must be identical
-    to the interpretive reference path."""
-
-    SOURCE = (
-        "li a0, 3\n"
-        "loop: addi a0, a0, -1\n"
-        "lw a1, 0(s0)\n"
-        "bnez a0, loop\n"
-        "jal ra, leaf\n"
-        "halt\n"
-        "leaf: cgetaddr a2, s0\n"
-        "ret\n"
-    )
-
-    def _render(self, predecode):
-        from repro.capability import make_roots
-        from repro.isa import assemble
-        from repro.memory import SystemBus, TaggedMemory
-        from .conftest import DATA_BASE
-
-        bus = SystemBus()
-        bus.attach_sram(TaggedMemory(CODE_BASE, 0x1_0000))
-        roots = make_roots()
-        cpu = CPU(bus, ExecutionMode.CHERIOT, predecode=predecode)
-        cpu.load_program(assemble(self.SOURCE), CODE_BASE, pcc=roots.executable)
-        cpu.regs.write(8, roots.memory.set_address(DATA_BASE).set_bounds(64))
-        trace = ExecutionTrace(code_base=CODE_BASE).attach(cpu)
-        cpu.run()
-        return trace
-
-    def test_render_identical_across_paths(self):
-        interp = self._render(predecode=False)
-        fast = self._render(predecode=True)
-        assert fast.render() == interp.render()
-        assert fast.mnemonic_histogram() == interp.mnemonic_histogram()
-        assert [ (e.pc, e.text, e.timing_class, e.branch_taken)
-                 for e in fast.entries ] == [
-               (e.pc, e.text, e.timing_class, e.branch_taken)
-                 for e in interp.entries ]

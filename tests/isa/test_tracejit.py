@@ -1,8 +1,8 @@
 """Trace-JIT tier unit tests: compilation, guards, invalidation, stats.
 
 The differential matrix lives in ``test_block_cache.py`` (every
-differential there runs interpreter / block cache / trace-JIT); this
-file pins the JIT-specific machinery — threshold promotion, the
+differential there runs the interpreter and the trace-JIT tier); this
+file pins the JIT-specific machinery — the one promotion rule, the
 self-loop trace shape, guard bail-outs with prefix replay, dirty-range
 invalidation of compiled code, the unsupported-block fallback, the
 shared source→code cache, and the stats surface.
@@ -23,14 +23,12 @@ DATA_BASE = 0x2000_8000
 DATA_SIZE = 0x100
 
 
-def _make_cpu(source, jit_threshold=2, trace_jit=True, timing=True,
+def _make_cpu(source, trace_jit=True, timing=True,
               mode=ExecutionMode.CHERIOT):
     bus = SystemBus()
     bus.attach_sram(TaggedMemory(CODE_BASE, 0x1_0000))
     roots = make_roots()
-    cpu = CPU(
-        bus, mode, trace_jit=trace_jit, jit_threshold=jit_threshold
-    )
+    cpu = CPU(bus, mode, trace_jit=trace_jit)
     if timing:
         cpu.timing = make_core_model(CoreKind.IBEX)
     program = assemble(source)
@@ -52,7 +50,58 @@ def _compiled_blocks(cpu):
     ]
 
 
+@pytest.fixture
+def cold_caches():
+    """Forget every source's heat and compiled code, as perfbench does
+    before each run."""
+    tracejit._SOURCE_HEAT.clear()
+    tracejit._CODE_CACHE.clear()
+
+
+#: A loop block entered by ``j``, so the block at ``loop`` executes
+#: exactly ``n`` times, and its source is the same for every ``n``.
+_COUNTED_LOOP = """
+        li a0, {n}
+        j loop
+    loop:
+        addi a0, a0, -5
+        addi a0, a0, 4
+        bnez a0, loop
+        halt
+"""
+
+
+@pytest.mark.usefixtures("cold_caches")
 class TestPromotion:
+    def test_block_compiles_on_threshold_execution(self):
+        # Its first JIT_THRESHOLD - 1 executions run interpreted...
+        cold = _make_cpu(_COUNTED_LOOP.format(n=tracejit.JIT_THRESHOLD - 1))
+        cold.run()
+        assert cold.jit_stats.compiles == 0
+        assert cold.jit_stats.instructions == 0
+        # ...and on a cold cache, the next one compiles and runs
+        # compiled: exactly one trace-loop iteration (three
+        # instructions) retires compiled.
+        tracejit._SOURCE_HEAT.clear()
+        tracejit._CODE_CACHE.clear()
+        hot = _make_cpu(_COUNTED_LOOP.format(n=tracejit.JIT_THRESHOLD))
+        hot.run()
+        assert hot.jit_stats.compiles == 1
+        assert hot.jit_stats.executions == 1
+        assert hot.jit_stats.instructions == 3
+        assert hot.regs.read_int(10) == 0
+
+    def test_clearing_the_caches_makes_the_next_cpu_cold(self):
+        first = _make_cpu(_COUNTED_LOOP.format(n=tracejit.JIT_THRESHOLD + 2))
+        first.run()
+        assert first.jit_stats.compiles == 1
+        tracejit._SOURCE_HEAT.clear()
+        tracejit._CODE_CACHE.clear()
+        second = _make_cpu(_COUNTED_LOOP.format(n=1))
+        second.run()
+        assert second.jit_stats.compiles == 0
+        assert second.block_stats.instructions > 0
+
     def test_hot_self_loop_compiles_to_trace(self):
         cpu = _make_cpu(
             """
@@ -73,25 +122,6 @@ class TestPromotion:
         # The trace shape: an internal loop returning (next_pc, iters).
         assert "while True:" in loops[0].source
         assert "_it" in loops[0].source
-
-    def test_cold_blocks_stay_fused(self):
-        # A threshold higher than the iteration count (and a program
-        # body unique to this test, so the shared code cache cannot
-        # adopt it) must never compile.
-        cpu = _make_cpu(
-            """
-                li a0, 7
-            loop:
-                addi a0, a0, -3
-                addi a0, a0, 2
-                bnez a0, loop
-                halt
-            """,
-            jit_threshold=1000,
-        )
-        cpu.run()
-        assert cpu.jit_stats.compiles == 0
-        assert cpu.block_stats.executions > 0
 
     def test_disabled_never_compiles(self):
         cpu = _make_cpu(
@@ -127,28 +157,27 @@ class TestExecutionEquivalence:
 
     def test_jit_bit_identical_to_interpreter(self):
         ref = _make_cpu(self.SOURCE, trace_jit=False)
-        ref._block_cache_enabled = False
-        ref._update_fast_path()
         ref.run()
-        jit = _make_cpu(self.SOURCE, jit_threshold=2)
+        jit = _make_cpu(self.SOURCE)
         jit.run()
         assert jit.jit_stats.executions > 0
         assert self._state(jit) == self._state(ref)
 
     def test_executions_count_loop_iterations(self):
-        # Each completed trace-loop iteration counts once, so the
-        # counter is comparable with BlockCacheStats.executions.
+        # Each completed trace-loop iteration counts once.
         cpu = _make_cpu(
-            "li a0, 100\nloop:\naddi a0, a0, -1\nbnez a0, loop\nhalt\n",
-            jit_threshold=2,
+            "li a0, 100\nloop:\naddi a0, a0, -1\nbnez a0, loop\nhalt\n"
         )
         cpu.run()
-        fused = cpu.block_stats.executions
         compiled = cpu.jit_stats.executions
-        # 100 back-edge executions split between the two tiers (plus
-        # the entry/exit blocks); nothing double-counted.
         assert compiled > 50
-        assert fused + compiled <= 110
+        assert cpu.jit_stats.instructions == 2 * compiled
+        # Every retired instruction is counted by exactly one tier; the
+        # final halt is a plain interpreted step outside any block.
+        assert (
+            cpu.block_stats.instructions + cpu.jit_stats.instructions
+            == cpu.stats.instructions - 1
+        )
 
 
 class TestGuardBail:
@@ -179,7 +208,7 @@ class TestGuardBail:
 
     def test_mid_trace_fault_replays_exactly(self):
         ref_cpu, ref = self._run(trace_jit=False)
-        jit_cpu, jit = self._run(jit_threshold=2)
+        jit_cpu, jit = self._run()
         assert jit_cpu.jit_stats.guard_bails >= 1
         assert jit_cpu.jit_stats.executions > 0
         assert jit == ref
@@ -216,7 +245,7 @@ class TestRecoveryResume:
 
     def test_resume_after_mid_trace_fault_matches_interpreter(self):
         ref_cpu, ref = self._fault_repair_resume(trace_jit=False)
-        jit_cpu, jit = self._fault_repair_resume(jit_threshold=2)
+        jit_cpu, jit = self._fault_repair_resume()
         assert jit_cpu.jit_stats.guard_bails >= 1
         assert jit_cpu.halted and ref_cpu.halted
         assert jit == ref
@@ -232,7 +261,7 @@ class TestInvalidation:
     """
 
     def test_store_drops_compiled_code_and_recompiles(self):
-        cpu = _make_cpu(self.SOURCE, jit_threshold=2)
+        cpu = _make_cpu(self.SOURCE)
         cpu.run()
         compiles = cpu.jit_stats.compiles
         assert compiles >= 1
@@ -259,8 +288,7 @@ class TestUnsupportedFallback:
                 addi a0, a0, -1
                 bnez a0, loop
                 halt
-            """,
-            jit_threshold=2,
+            """
         )
         cpu.run()
         assert cpu.jit_stats.unsupported == 0
@@ -269,15 +297,14 @@ class TestUnsupportedFallback:
     def test_cheriot_only_instruction_in_rv32e_marks_unsupported(self):
         # In RV32E mode capability mnemonics are fusable (the table is
         # mode-independent) but execute to an illegal-instruction trap;
-        # the generator refuses such blocks, which must stay on the
-        # fused tier and raise the exact architectural fault.
+        # the generator refuses such blocks, which must stay
+        # interpreted and raise the exact architectural fault.
         outcomes = []
         for trace_jit in (False, True):
             cpu = _make_cpu(
                 "li a0, 1\ncgetlen a1, s0\nhalt\n",
                 mode=ExecutionMode.RV32E,
                 trace_jit=trace_jit,
-                jit_threshold=2,
             )
             with pytest.raises(Trap) as excinfo:
                 cpu.run()
@@ -299,27 +326,27 @@ class TestCodeCache:
         halt
     """
 
+    @pytest.mark.usefixtures("cold_caches")
     def test_second_cpu_adopts_hot_code_below_threshold(self):
-        # CPU 1 crosses the threshold and populates the shared
-        # source->code cache; a fresh CPU 2 running the same image with
-        # the default threshold (50 > 29 iterations) still executes
-        # compiled code, via the first-execution cached-only probe.
-        first = _make_cpu(self.SOURCE, jit_threshold=2)
+        # CPU 1 makes the loop's source hot; a fresh CPU 2 running the
+        # same image compiles it on its first execution.
+        first = _make_cpu(_COUNTED_LOOP.format(n=tracejit.JIT_THRESHOLD + 2))
         first.run()
-        assert first.jit_stats.compiles >= 1
-        second = _make_cpu(self.SOURCE, jit_threshold=50)
+        assert first.jit_stats.compiles == 1
+        second = _make_cpu(_COUNTED_LOOP.format(n=1))
         second.run()
-        assert second.jit_stats.executions > 0
+        assert second.jit_stats.compiles == 1
+        assert second.jit_stats.instructions == 3
         assert second.regs.read_int(10) == 0
 
     def test_code_cache_reuses_code_objects(self):
-        first = _make_cpu(self.SOURCE, jit_threshold=2)
+        first = _make_cpu(self.SOURCE)
         first.run()
         blocks = _compiled_blocks(first)
         assert blocks
         src = blocks[0].jit.source
         assert src in tracejit._CODE_CACHE
-        second = _make_cpu(self.SOURCE, jit_threshold=2)
+        second = _make_cpu(self.SOURCE)
         second.run()
         twins = [b for b in _compiled_blocks(second)
                  if b.jit.source == src]

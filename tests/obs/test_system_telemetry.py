@@ -66,8 +66,8 @@ class TestTelemetryOffDifferential:
         assert sys_on.core_model.cycles == sys_off.core_model.cycles
         s_on, s_off = sys_on.stats_summary(), sys_off.stats_summary()
         # The execution-tier groups are host-side counters: telemetry
-        # attaches retire hooks, which deoptimize the fused block/JIT
-        # tiers, so translation/compilation activity differs by design.
+        # attaches retire hooks, which deoptimize the block loop and
+        # JIT, so translation/compilation activity differs by design.
         # Every *architectural* group must still match exactly — which
         # is the tier-transparency claim seen from the other side.
         host_side = {"block_cache", "trace_jit"}
