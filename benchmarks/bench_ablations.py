@@ -16,20 +16,17 @@ stated trade-off:
   knob with negligible throughput cost.
 """
 
-import pytest
-
 from repro.allocator import CheriHeap, TemporalSafetyMode
 from repro.analysis.reporting import format_table
 from repro.capability import make_roots
 from repro.memory import RevocationMap, SystemBus, TaggedMemory, default_memory_map
 from repro.pipeline import CoreKind, make_core_model
 from repro.revoker import BackgroundRevoker, EpochCounter, SoftwareRevoker
-from repro.workloads.alloc_bench import run_alloc_bench
 from repro.workloads.coremark import run_coremark
 from conftest import emit
 
 
-def test_ablation_compiler_fixes(benchmark):
+def test_ablation_compiler_fixes():
     """How much of the CoreMark overhead the two compiler bugs cost."""
 
     def run():
@@ -51,7 +48,7 @@ def test_ablation_compiler_fixes(benchmark):
                 )
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
     emit(
         "Ablation: the two compiler bugs of section 7.2 "
         "(paper: numbers are worst-case pending fixes)",
@@ -62,7 +59,7 @@ def test_ablation_compiler_fixes(benchmark):
         assert by[(core, "fixed")] < by[(core, "as-submitted")]
 
 
-def test_ablation_revocation_granule(benchmark):
+def test_ablation_revocation_granule():
     """Bitmap SRAM vs allocation padding across granule sizes."""
 
     def run():
@@ -91,7 +88,7 @@ def test_ablation_revocation_granule(benchmark):
             )
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
     emit(
         "Ablation: revocation granule size (section 3.3.1) — "
         "bitmap SRAM vs padding for 256 x 20-byte allocations",
@@ -103,7 +100,7 @@ def test_ablation_revocation_granule(benchmark):
     assert paddings[-1] > paddings[0]
 
 
-def test_ablation_quarantine_threshold(benchmark):
+def test_ablation_quarantine_threshold():
     """Sweep frequency vs total cycles at a small allocation size."""
 
     def run():
@@ -130,7 +127,7 @@ def test_ablation_quarantine_threshold(benchmark):
             )
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
     emit(
         "Ablation: quarantine threshold (section 5.1) — software revoker, "
         "4096 x 64-byte alloc/free",
@@ -140,7 +137,7 @@ def test_ablation_quarantine_threshold(benchmark):
     assert cycles == sorted(cycles, reverse=True)  # bigger threshold cheaper
 
 
-def test_ablation_revoker_batch_size(benchmark):
+def test_ablation_revoker_batch_size():
     """Interrupts-disabled window vs batch size for the software sweep."""
 
     def run():
@@ -157,7 +154,7 @@ def test_ablation_revoker_batch_size(benchmark):
             rows.append((batch, f"{window:,}", f"{cycles:,}"))
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
     emit(
         "Ablation: software revoker batch size (section 3.3.2) — "
         "worst-case interrupts-off window vs full-sweep cost (256 KiB heap)",
@@ -173,7 +170,7 @@ def test_ablation_revoker_batch_size(benchmark):
     assert max(totals) - min(totals) < 0.02 * max(totals)
 
 
-def test_ablation_peephole_optimizer(benchmark):
+def test_ablation_peephole_optimizer():
     """-O0-style spills vs the peephole's register reuse (section 7.2's
 
     -Oz setting sits between the two)."""
@@ -195,7 +192,7 @@ def test_ablation_peephole_optimizer(benchmark):
                 )
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
     emit(
         "Ablation: peephole optimizer (register reuse of just-stored values)",
         format_table(["core", "codegen", "instructions", "cycles"], rows),

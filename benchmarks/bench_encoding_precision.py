@@ -32,8 +32,8 @@ def measure():
     }
 
 
-def test_encoding_precision(benchmark):
-    m = benchmark(measure)
+def test_encoding_precision():
+    m = measure()
     body = format_table(
         ["quantity", "measured", "paper"],
         [

@@ -10,8 +10,6 @@ execution and GC-driven frees through the full temporal-safety
 machinery, and require the load to land in the same regime.
 """
 
-import pytest
-
 from repro.allocator import TemporalSafetyMode
 from repro.analysis.reporting import format_table
 from repro.iot.app import IoTApplication
@@ -26,8 +24,8 @@ def run_app():
     return app.run(duration_ms=60_000)
 
 
-def test_iot_endtoend(benchmark):
-    report = benchmark.pedantic(run_app, rounds=1, iterations=1)
+def test_iot_endtoend():
+    report = run_app()
     body = format_table(
         ["metric", "measured", "paper"],
         [
@@ -73,7 +71,7 @@ def test_iot_endtoend(benchmark):
     assert extra < 0.5
 
 
-def test_iot_temporal_safety_mode_comparison(benchmark):
+def test_iot_temporal_safety_mode_comparison():
     """The end-to-end cost of temporal safety: the same application
 
     under Baseline (spatial only), Software and Hardware revocation."""
@@ -99,7 +97,7 @@ def test_iot_temporal_safety_mode_comparison(benchmark):
             )
         return rows, loads
 
-    rows, loads = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows, loads = run()
     emit(
         "End-to-end cost of temporal safety (15 s windows)",
         format_table(["allocator mode", "CPU load", "revocation passes"], rows),

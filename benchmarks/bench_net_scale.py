@@ -18,8 +18,6 @@ via ``make net``; this module reproduces the shape at a CI-friendly
 scale and asserts it.
 """
 
-import pytest
-
 from repro.analysis.reporting import format_table
 from repro.iot.loadgen import NetLoadGen, drive
 from repro.iot.sessions import NetPipeline
@@ -49,7 +47,7 @@ def run_point(zero_copy: bool, connections: int) -> dict:
     return report
 
 
-def test_net_scale(benchmark):
+def test_net_scale():
     def run():
         points = {}
         for connections in CONNS:
@@ -59,7 +57,7 @@ def test_net_scale(benchmark):
                 )
         return points
 
-    points = benchmark.pedantic(run, rounds=1, iterations=1)
+    points = run()
 
     rows = []
     for connections in CONNS:

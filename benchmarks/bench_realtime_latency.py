@@ -34,7 +34,7 @@ def run_with_monitor(allocation_size: int, batch_granules: int, total=1 << 19):
     return monitor, system
 
 
-def test_worst_case_latency_bounded(benchmark):
+def test_worst_case_latency_bounded():
     def run():
         rows = []
         results = {}
@@ -51,7 +51,7 @@ def test_worst_case_latency_bounded(benchmark):
             )
         return rows, results
 
-    rows, results = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows, results = run()
     emit(
         "Section 2.1: worst-case interrupts-off window under full "
         "temporal safety (software revoker, batch = 64 granules)",
@@ -67,7 +67,7 @@ def test_worst_case_latency_bounded(benchmark):
     assert len(values) == 1, f"latency bound varied with workload: {results}"
 
 
-def test_batch_size_is_the_latency_knob(benchmark):
+def test_batch_size_is_the_latency_knob():
     def run():
         rows = []
         worst = {}
@@ -77,7 +77,7 @@ def test_batch_size_is_the_latency_knob(benchmark):
             rows.append((batch, f"{monitor.worst_case:,}"))
         return rows, worst
 
-    rows, worst = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows, worst = run()
     emit(
         "Section 3.3.2: the batch size bounds the critical section",
         format_table(["batch (granules)", "worst window (cycles)"], rows),

@@ -19,8 +19,8 @@ PAPER_GATES = [26988, 55905, 58110, 58431, 61422]
 PAPER_POWER = [1.437, 2.16, 2.58, 2.58, 2.73]
 
 
-def test_table2_reproduction(benchmark):
-    rows = benchmark(area_power_table)
+def test_table2_reproduction():
+    rows = area_power_table()
     emit("Table 2: area and power costs for variants of Ibex", format_table2(rows))
 
     gates = [row.gates for row in rows]

@@ -23,8 +23,7 @@ def rows():
     return table3(iterations=2)
 
 
-def test_table3_reproduction(benchmark, rows):
-    benchmark.pedantic(lambda: table3(iterations=1), rounds=1, iterations=1)
+def test_table3_reproduction(rows):
     body = format_table(
         ["core", "config", "cycles", "score", "paper", "overhead %"],
         [
@@ -56,7 +55,7 @@ def test_table3_reproduction(benchmark, rows):
     assert ibex_filter > ibex_caps  # short pipeline exposes the filter
 
 
-def test_per_kernel_attribution(benchmark):
+def test_per_kernel_attribution():
     """Where the overhead lives: the pointer-chasing list kernel pays
 
     the load filter hardest, the globals-reading state machine least."""
@@ -68,7 +67,7 @@ def test_per_kernel_attribution(benchmark):
             for config in ("rv32e", "cheriot", "cheriot+filter")
         }
 
-    profiles = benchmark.pedantic(run, rounds=1, iterations=1)
+    profiles = run()
     rows = []
     for kernel in ("list", "matrix", "state"):
         base = profiles["rv32e"][kernel]

@@ -3,9 +3,8 @@
 The paper's numbers are *architectural* (cycles, scores); this module
 measures the *host* wall-clock the simulator spends producing them, so
 the decode-once/execute-many executor can be tracked for regressions.
-Shared by ``benchmarks/bench_simspeed.py`` (pytest harness),
-``tools/bench_speed.py`` (writes ``BENCH_simspeed.json``) and
-``tools/gate.py simspeed`` (the regression gate).
+Shared by ``tools/bench_speed.py`` (writes ``BENCH_simspeed.json``)
+and ``tools/gate.py simspeed`` (the regression gate).
 
 All workloads run the same *architectural* work regardless of executor
 configuration — only host time differs — so speed numbers are directly

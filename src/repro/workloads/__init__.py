@@ -10,7 +10,6 @@ from .alloc_bench import (
     run_alloc_bench,
     sweep,
     sweep_total_bytes,
-    table4,
 )
 from .coremark import (
     PAPER_BASELINE_SCORE,
@@ -38,5 +37,4 @@ __all__ = [
     "sweep",
     "sweep_total_bytes",
     "table3",
-    "table4",
 ]

@@ -20,7 +20,7 @@ Figures 5 (Flute) and 6 (Ibex).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.allocator import TemporalSafetyMode
 from repro.machine import System
@@ -95,23 +95,6 @@ def run_alloc_bench(
     )
 
 
-def table4(
-    core: CoreKind,
-    sizes: Iterable[int] = ALLOCATION_SIZES,
-    total_bytes: int = TOTAL_BYTES,
-    hwm_variants: Tuple[bool, ...] = (False, True),
-) -> List[AllocBenchResult]:
-    """All Table 4 cells for one core."""
-    results = []
-    for size in sizes:
-        for mode in CONFIGURATIONS:
-            for hwm in hwm_variants:
-                results.append(
-                    run_alloc_bench(core, mode, hwm, size, total_bytes)
-                )
-    return results
-
-
 def sweep_total_bytes(allocation_size: int) -> int:
     """Bytes each benchmark sweep cell allocates at ``allocation_size``.
 
@@ -126,14 +109,15 @@ def sweep_total_bytes(allocation_size: int) -> int:
 def sweep(
     core: CoreKind, sizes: Iterable[int] = ALLOCATION_SIZES
 ) -> List[AllocBenchResult]:
-    """Table 4 cells for ``core`` at each size, each with its own total
-    (:func:`sweep_total_bytes`) — the run behind Table 4 and Figures 5/6."""
-    results = []
-    for size in sizes:
-        results.extend(
-            table4(core, sizes=(size,), total_bytes=sweep_total_bytes(size))
-        )
-    return results
+    """All Table 4 cells for ``core``: every size x configuration x HWM,
+    each size with its own total (:func:`sweep_total_bytes`) — the one
+    run behind Table 4 and Figures 5/6."""
+    return [
+        run_alloc_bench(core, mode, hwm, size, sweep_total_bytes(size))
+        for size in sizes
+        for mode in CONFIGURATIONS
+        for hwm in (False, True)
+    ]
 
 
 def overhead_series(

@@ -9,6 +9,9 @@ stays cheap; the full-suite equivalence was verified the same way when
 the committed tables file was generated.
 """
 
+import glob
+import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -17,6 +20,7 @@ ROOT = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 )
 RUNNER = os.path.join(ROOT, "tools", "run_benchmarks.py")
+BENCH_DIR = os.path.join(ROOT, "benchmarks")
 MODULES = "bench_encoding_precision,bench_table2_area_power"
 
 
@@ -67,3 +71,27 @@ def test_unknown_module_rejected(tmp_path):
     )
     assert proc.returncode == 2
     assert "no such benchmark module" in proc.stderr
+
+
+def _load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_no_benchmark_takes_the_timing_fixture(monkeypatch):
+    """Every benchmark computes its table directly: none asks for
+    pytest-benchmark's ``benchmark`` fixture, so the suite needs no
+    timing plugin and nothing is computed only to be timed."""
+    # The modules import their shared helpers as plain ``conftest``.
+    shared = _load(os.path.join(BENCH_DIR, "conftest.py"), "conftest")
+    monkeypatch.setitem(sys.modules, "conftest", shared)
+    paths = sorted(glob.glob(os.path.join(BENCH_DIR, "bench_*.py")))
+    assert paths
+    for path in paths:
+        module = _load(path, os.path.basename(path)[:-3])
+        for name, value in vars(module).items():
+            if name.startswith("test_") and inspect.isfunction(value):
+                params = inspect.signature(value).parameters
+                assert "benchmark" not in params, f"{module.__name__}::{name}"

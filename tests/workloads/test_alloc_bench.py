@@ -15,7 +15,6 @@ from repro.workloads.alloc_bench import (
     run_alloc_bench,
     sweep,
     sweep_total_bytes,
-    table4,
 )
 
 TOTAL = 64 * 1024
@@ -97,7 +96,7 @@ class TestHarness:
         assert result.cycles_per_iteration > 0
 
     def test_table4_and_series(self):
-        results = table4(CoreKind.IBEX, sizes=(64, 4096), total_bytes=TOTAL)
+        results = sweep(CoreKind.IBEX, sizes=(64, 4096))
         assert len(results) == 2 * 4 * 2
         series = overhead_series(results)
         assert "Baseline" in series and "Software (S)" in series

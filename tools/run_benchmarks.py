@@ -5,7 +5,7 @@ Usage (from the repository root)::
 
     PYTHONPATH=src python tools/run_benchmarks.py [-j N] [-o FILE]
         [--timeout SECONDS]
-        [--modules bench_table3_coremark,bench_table4_alloc]
+        [--modules bench_table3_coremark,bench_alloc_ibex]
 
 Each benchmark module runs in its own supervised subprocess
 (worker-per-benchmark) with ``PYTHONHASHSEED=0`` and its tables
@@ -23,9 +23,8 @@ under its name with a one-line rerun command, instead of a bare
 interleaved dump.  Each module's wall-clock is printed as it finishes,
 so a slow benchmark is visible without profiling the suite.
 
-``bench_simspeed.py`` is excluded from the merge: its output is host
-wall-clock (non-deterministic by nature).  Use ``tools/bench_speed.py``
-for simulator-speed numbers.
+Every module's output is architectural (cycles, ratios), never host
+time; simulator-speed numbers come from ``tools/bench_speed.py``.
 """
 
 from __future__ import annotations
@@ -43,10 +42,6 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from repro.fleet.procutil import SupervisedResult, run_supervised, tail  # noqa: E402
 
-#: Never merged into the tables file — host-timing output changes run
-#: to run, which would break the serial/parallel byte-identity contract.
-EXCLUDED = frozenset({"bench_simspeed.py"})
-
 #: Default per-module wall-clock budget.  The slowest module finishes
 #: in well under a minute on CI's weakest runner; anything past this is
 #: a hang, not a slow benchmark.
@@ -57,9 +52,7 @@ def discover_modules() -> list:
     return [
         name
         for name in sorted(os.listdir(BENCH_DIR))
-        if name.startswith("bench_")
-        and name.endswith(".py")
-        and name not in EXCLUDED
+        if name.startswith("bench_") and name.endswith(".py")
     ]
 
 
@@ -75,7 +68,6 @@ def run_module(
         "-m",
         "pytest",
         os.path.join("benchmarks", module),
-        "--benchmark-disable",
         "-q",
         "-p",
         "no:cacheprovider",
@@ -186,7 +178,7 @@ def main(argv=None) -> int:
         # sorted module order (completion order above does not matter).
         parts = [
             "Section-7 reproduced tables and figures\n"
-            "Regenerate with: make bench [PARALLEL=N]\n"
+            "Regenerate with: make bench [JOBS=N]\n"
             "Modules: " + ", ".join(m[:-3] for m in modules) + "\n"
         ]
         for module in modules:
