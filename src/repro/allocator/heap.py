@@ -101,6 +101,19 @@ FREE_BASE_INSTRS = 40
 #: Deriving the returned capability: csetaddr + csetbounds + candperm.
 CAP_DERIVE_INSTRS = 3
 
+#: Permissions of every capability ``malloc`` returns: global read/write
+#: data that may hold capabilities.
+_MALLOC_PERMS = frozenset(
+    {
+        Permission.GL,
+        Permission.LD,
+        Permission.SD,
+        Permission.MC,
+        Permission.LM,
+        Permission.LG,
+    }
+)
+
 
 def _round_up(value: int, align: int) -> int:
     return (value + align - 1) & ~(align - 1)
@@ -269,16 +282,7 @@ class CheriHeap:
         cap = (
             self.memory_root.set_address(payload)
             .set_bounds(rounded, exact=True)
-            .and_perms(
-                {
-                    Permission.GL,
-                    Permission.LD,
-                    Permission.SD,
-                    Permission.MC,
-                    Permission.LM,
-                    Permission.LG,
-                }
-            )
+            .and_perms(_MALLOC_PERMS)
         )
         self._live[payload] = chunk
         self.stats.mallocs += 1

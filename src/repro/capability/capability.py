@@ -18,7 +18,7 @@ specifies invalidation (address moves outside the representable region).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional, Tuple
 
@@ -273,12 +273,13 @@ class Capability:
                 f"setbounds [{new_base:#x}, {new_top:#x}) exceeds "
                 f"[{self.base:#x}, {self.top:#x})"
             )
-        return replace(self, bounds=encoded)
+        return _derive(self, self.address, self.tag, None, bounds=encoded)
 
     def and_perms(self, mask: Iterable[Permission]) -> "Capability":
         """``candperm``: intersect permissions (then re-normalize)."""
         self._require_unsealed_tagged()
-        return replace(self, perms=compression.and_perms(self.perms, frozenset(mask)))
+        perms = compression.and_perms(self.perms, frozenset(mask))
+        return _derive(self, self.address, self.tag, self._dec, perms=perms)
 
     def clear_perms(self, *perms: Permission) -> "Capability":
         """Convenience: shed the listed permissions."""
@@ -308,7 +309,7 @@ class Capability:
         _check_seal_authority(authority, Permission.SE)
         otype = authority.address
         _check_otype_for(self, otype)
-        return replace(self, otype=otype)
+        return _derive(self, self.address, self.tag, self._dec, otype=otype)
 
     def seal_sentry(self, sentry_type: otypes_mod.SentryType) -> "Capability":
         """Seal an executable capability as a sentry (section 3.1.2).
@@ -320,7 +321,7 @@ class Capability:
         self._require_unsealed_tagged()
         if not self.is_executable:
             raise PermissionFault("sentries must be executable")
-        return replace(self, otype=int(sentry_type))
+        return _derive(self, self.address, self.tag, self._dec, otype=int(sentry_type))
 
     def unseal(self, authority: "Capability") -> "Capability":
         """``cunseal``: remove the seal using a US authority."""
@@ -334,13 +335,17 @@ class Capability:
                 f"unseal otype mismatch: authority names {authority.address}, "
                 f"capability sealed with {self.otype}"
             )
-        return replace(self, otype=otypes_mod.OTYPE_UNSEALED)
+        return _derive(
+            self, self.address, self.tag, self._dec, otype=otypes_mod.OTYPE_UNSEALED
+        )
 
     def unseal_for_jump(self) -> "Capability":
         """Automatic unsealing applied when a sentry is jumped to."""
         if not self.is_sentry:
             raise OTypeFault("not a sentry")
-        return replace(self, otype=otypes_mod.OTYPE_UNSEALED)
+        return _derive(
+            self, self.address, self.tag, self._dec, otype=otypes_mod.OTYPE_UNSEALED
+        )
 
     # ------------------------------------------------------------------
     # Dereference checks (used by the memory system and ISA)
@@ -418,29 +423,58 @@ _NULL_BOUNDS = EncodedBounds(0, 0, 0)
 _NULL_CAP = Capability(address=0, bounds=_NULL_BOUNDS, perms=NO_PERMS, tag=False)
 
 
-def _derive(src: Capability, address: int, tag: bool, dec) -> Capability:
-    """Clone a validated capability with a new address/tag, skipping
-    ``__post_init__`` — every skipped check depends only on fields
-    copied verbatim from the already-validated source.  ``dec`` seeds
-    the decoded-bounds cache when the caller knows the decode is
-    unchanged (pass ``None`` otherwise); the permission-bitmask cache
-    always carries over since the permission set does.
+def _derive(
+    src: Capability,
+    address: int,
+    tag: bool,
+    dec,
+    bounds: Optional[EncodedBounds] = None,
+    perms: Optional[PermSet] = None,
+    otype: Optional[int] = None,
+) -> Capability:
+    """Clone a validated capability, skipping ``__post_init__``.
 
-    This sits on the ``csetaddr``/``cincaddr`` hot path: pointer
-    arithmetic dominates capability traffic, and the dataclass
-    constructor re-normalizes (and re-hashes) the permission frozenset
-    on every derivation.
+    The clone takes ``address`` and ``tag`` and, when given, new
+    ``bounds``, ``perms`` or ``otype``; every other field is copied from
+    ``src``.  A skipped check holds because the operation that produced
+    each field already established it:
+
+    * the address is masked by the caller, or copied from ``src``;
+    * ``bounds`` come from :func:`repro.capability.bounds.encode`;
+    * ``perms`` come from :func:`~repro.capability.compression.normalize`
+      or :func:`~repro.capability.compression.and_perms`, so they are
+      representable;
+    * ``otype`` comes from :func:`_check_otype_for`, a
+      :class:`~repro.capability.otypes.SentryType`, or is
+      ``OTYPE_UNSEALED``.
+
+    ``dec`` seeds the decoded-bounds cache when the caller knows the
+    decode is unchanged (pass ``None`` otherwise); it is dropped whenever
+    ``bounds`` change.  The permission-bitmask cache carries over only
+    when ``perms`` do.
+
+    This is every derivation's path, ``csetaddr``/``cincaddr`` hottest of
+    all: the dataclass constructor would re-normalize (and re-hash) the
+    permission frozenset on each one.
     """
     cap = object.__new__(Capability)
     _set = object.__setattr__
     _set(cap, "address", address)
-    _set(cap, "bounds", src.bounds)
-    _set(cap, "perms", src.perms)
-    _set(cap, "otype", src.otype)
+    if bounds is None:
+        _set(cap, "bounds", src.bounds)
+        _set(cap, "_dec", dec)
+    else:
+        _set(cap, "bounds", bounds)
+        _set(cap, "_dec", None)
+    if perms is None:
+        _set(cap, "perms", src.perms)
+        _set(cap, "_pbits", src._pbits)
+    else:
+        _set(cap, "perms", perms)
+        _set(cap, "_pbits", None)
+    _set(cap, "otype", src.otype if otype is None else otype)
     _set(cap, "tag", tag)
     _set(cap, "reserved", src.reserved)
-    _set(cap, "_dec", dec)
-    _set(cap, "_pbits", src._pbits)
     return cap
 
 
@@ -516,4 +550,5 @@ def attenuate_loaded(loaded: Capability, authority: Capability) -> Capability:
         perms = perms - {Permission.LM, Permission.SD, Permission.SL}
     if perms == loaded.perms:
         return loaded
-    return replace(loaded, perms=compression.normalize(perms))
+    perms = compression.normalize(perms)
+    return _derive(loaded, loaded.address, loaded.tag, loaded._dec, perms=perms)

@@ -9,8 +9,8 @@ four phases, every one clocked in simulated cycles (never wall time):
    device's throughput.
 2. **Tiered CPU kernel** — a seeded store/load loop on a real
    :class:`~repro.isa.CPU` built by :meth:`System.make_cpu` with the
-   plan's execution tier.  Cycle counts are bit-identical across
-   interpreter / block-cache / trace-JIT (the differential suite's
+   plan's execution tier.  Cycle counts are bit-identical between the
+   interpreter and the trace-JIT (the differential suite's
    guarantee), so tier promotion — which may differ between a serial
    run and a sharded one as the in-process code cache warms — can
    never leak into the report.

@@ -74,18 +74,21 @@ class TaggedMemory:
         return bytes(self._data[off : off + size])
 
     def write_bytes(self, address: int, data: bytes) -> None:
-        """Data write: clears the tag of every granule touched."""
+        """Data write: clears the tag of every granule touched.
+
+        A zero-length write touches no granule, so it clears no tag.
+        """
         size = len(data)
         off = self._offset(address, size)
         self._data[off : off + size] = data
-        first = off // CAP_SIZE_BYTES
-        last = (off + size - 1) // CAP_SIZE_BYTES if data else first
-        if first == last:
-            # Common case: a word-or-smaller store inside one granule.
-            self._tags[first] = 0
-        else:
-            for g in range(first, last + 1):
-                self._tags[g] = 0
+        if size:
+            first = off // CAP_SIZE_BYTES
+            last = (off + size - 1) // CAP_SIZE_BYTES
+            if first == last:
+                # Common case: a word-or-smaller store inside one granule.
+                self._tags[first] = 0
+            else:
+                self._tags[first : last + 1] = bytes(last + 1 - first)
         if self._dirty_hooks is not None:
             for hook in self._dirty_hooks:
                 hook(address, size)

@@ -4,11 +4,17 @@ These use a reduced total (64 KiB instead of 1 MiB) so the orderings
 can be asserted quickly; the full-size runs live in ``benchmarks/``.
 """
 
+import os
+import sys
+
 import pytest
 
+import repro
 from repro.allocator import TemporalSafetyMode as M
+from repro.machine import System
 from repro.pipeline import CoreKind
 from repro.workloads.alloc_bench import (
+    CONFIGURATIONS,
     TOTAL_BYTES,
     format_table4,
     overhead_series,
@@ -113,3 +119,66 @@ class TestHarness:
         results = sweep(CoreKind.IBEX, sizes=(128 * 1024,))
         assert len(results) == 4 * 2
         assert {r.iterations for r in results} == {8}
+
+
+#: Host work per malloc+free pair, as Python function calls into
+#: ``repro`` (see :func:`count_pair_calls`).  The allocator path runs no
+#: ISA instruction, so this count is what its host cost is made of; it
+#: is deterministic, so the ceiling is exact.  Lower it when the path
+#: gets cheaper.
+CALLS_PER_PAIR_CEILING = 260.0
+COUNTER_PAIRS = 256
+COUNTER_SIZE = 64
+
+_REPRO_DIR = os.path.dirname(repro.__file__)
+#: Comprehension frames: CPython 3.12 inlines them, so counting them
+#: would make the figure depend on the interpreter version.
+_COMPREHENSIONS = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"})
+
+
+def count_pair_calls(system, pairs: int, size: int) -> int:
+    """Python-level calls into ``repro`` made by ``pairs`` malloc+free pairs."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            code = frame.f_code
+            if (
+                code.co_filename.startswith(_REPRO_DIR)
+                and code.co_name not in _COMPREHENSIONS
+            ):
+                calls += 1
+
+    malloc, free = system.malloc, system.free
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for _ in range(pairs):
+            free(malloc(size))
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def test_host_calls_per_alloc_pair():
+    """Both cores x all eight configurations, 256 pairs of 64 B each."""
+    cells = {}
+    for core in (CoreKind.FLUTE, CoreKind.IBEX):
+        for mode in CONFIGURATIONS:
+            for hwm in (False, True):
+                system = System.build(core=core, mode=mode, hwm_enabled=hwm)
+                label = f"{core.value}/{mode.value}/hwm={int(hwm)}"
+                cells[label] = count_pair_calls(system, COUNTER_PAIRS, COUNTER_SIZE)
+    per_pair = round(sum(cells.values()) / (len(cells) * COUNTER_PAIRS), 1)
+    if per_pair > CALLS_PER_PAIR_CEILING:
+        lines = [
+            f"{label}: {count / COUNTER_PAIRS:.2f} calls/pair"
+            for label, count in cells.items()
+        ]
+        pytest.fail(
+            f"{per_pair} host calls per malloc+free pair, ceiling "
+            f"{CALLS_PER_PAIR_CEILING}\n" + "\n".join(lines) + "\nreproduce: "
+            "PYTHONPATH=src python -m pytest -q "
+            "tests/workloads/test_alloc_bench.py::test_host_calls_per_alloc_pair"
+        )
